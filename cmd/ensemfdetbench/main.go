@@ -23,9 +23,10 @@
 // separately; any of those is a daemon fault.
 //
 // Latencies are recorded per request and the quantiles computed exactly
-// (sort, index) rather than through a sketch: a soak's sample counts are
-// small enough that exactness is free, and p999 on an estimator is exactly
-// the number one should not trust.
+// (sort, nearest rank) rather than through a sketch: a soak's sample counts
+// are small enough that exactness is free, and p999 on an estimator is
+// exactly the number one should not trust. Each path reports its sample
+// count, and p999 is null below 1000 samples, where it would be the maximum.
 //
 // Output is a JSON summary (stdout, or -out file). With -bench the summary
 // is followed by go-bench-formatted lines (one metric per line) so the
@@ -75,7 +76,8 @@ type summary struct {
 type pathSummary struct {
 	Requests int64  `json:"requests"`
 	Shed429  int64  `json:"shed_429"`
-	Errors   int64  `json:"errors"` // 5xx and transport failures
+	Errors   int64  `json:"errors"`  // 5xx and transport failures
+	Samples  int    `json:"samples"` // latencies the quantiles rest on
 	P50Ms    jsonMS `json:"p50_ms"`
 	P99Ms    jsonMS `json:"p99_ms"`
 	P999Ms   jsonMS `json:"p999_ms"`
@@ -138,26 +140,37 @@ func (r *recorder) summarize() pathSummary {
 	lat := r.merged
 	r.mu.Unlock()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	q := func(p float64) jsonMS {
-		if len(lat) == 0 {
-			return jsonMS(math.NaN())
-		}
-		i := int(p * float64(len(lat)-1))
-		return jsonMS(float64(lat[i]) / float64(time.Millisecond))
-	}
-	maxMs := jsonMS(math.NaN())
-	if len(lat) > 0 {
-		maxMs = jsonMS(float64(lat[len(lat)-1]) / float64(time.Millisecond))
+	p999 := jsonMS(math.NaN())
+	if len(lat) >= minP999Samples {
+		p999 = quantileMs(lat, 0.999)
 	}
 	return pathSummary{
 		Requests: r.requests.Load(),
 		Shed429:  r.shed.Load(),
 		Errors:   r.errors.Load(),
-		P50Ms:    q(0.50),
-		P99Ms:    q(0.99),
-		P999Ms:   q(0.999),
-		MaxMs:    maxMs,
+		Samples:  len(lat),
+		P50Ms:    quantileMs(lat, 0.50),
+		P99Ms:    quantileMs(lat, 0.99),
+		P999Ms:   p999,
+		MaxMs:    quantileMs(lat, 1),
 	}
+}
+
+// minP999Samples is the sample count below which p999 is withheld: with
+// fewer than 1000 samples the nearest-rank p999 is just the maximum.
+const minP999Samples = 1000
+
+// quantileMs returns the nearest-rank p-quantile of sorted latencies in
+// milliseconds: the smallest sample with at least ceil(p·n) samples at or
+// below it, NaN (null in JSON) with no samples. The epsilon keeps products
+// such as 0.99·1000 from rounding up past the exact rank.
+func quantileMs(sorted []time.Duration, p float64) jsonMS {
+	n := len(sorted)
+	if n == 0 {
+		return jsonMS(math.NaN())
+	}
+	i := min(max(int(math.Ceil(p*float64(n)-1e-9)), 1), n) - 1
+	return jsonMS(float64(sorted[i]) / float64(time.Millisecond))
 }
 
 func run() error {

@@ -69,6 +69,34 @@ func TestRunMatchesReferencePipeline(t *testing.T) {
 	}
 }
 
+// TestUnitWeightRunMatchesReferencePipeline covers the unit-weight
+// (AvgDegree) ablation end to end: its integer priorities tie far more often
+// than the default column weights, so the peeler's (priority, lowest id)
+// tie-break decides most deletions. For every sampling method and several
+// seeds, the parallel arena-backed run must match the naive pipeline.
+func TestUnitWeightRunMatchesReferencePipeline(t *testing.T) {
+	g, _ := plantedGraph(55, 260, 240, 700, 2, 7, 7)
+	for _, m := range sampling.All() {
+		for _, seed := range []int64{2, 11, 23} {
+			cfg := Config{
+				Method:      m,
+				NumSamples:  8,
+				SampleRatio: 0.3,
+				Seed:        seed,
+				Parallelism: 4,
+				FDet:        fdet.Options{Metric: density.AvgDegree{}},
+			}
+			out, err := Run(g, cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", m.Name(), seed, err)
+			}
+			if want := referenceVotes(t, g, cfg); !reflect.DeepEqual(out.Votes, want) {
+				t.Errorf("%s seed %d: unit-weight votes differ from reference pipeline", m.Name(), seed)
+			}
+		}
+	}
+}
+
 // TestRunDeterministicAcrossParallelismLevels pins the satellite contract:
 // the same Seed yields identical Votes for Parallelism ∈ {1, 4, GOMAXPROCS}.
 func TestRunDeterministicAcrossParallelismLevels(t *testing.T) {

@@ -1,7 +1,6 @@
 package fdet
 
 import (
-	"math"
 	"testing"
 
 	"ensemfdet/internal/bipartite"
@@ -19,95 +18,6 @@ func completeBipartite(a, b int) *bipartite.Graph {
 	return bld.Build()
 }
 
-// mustEqualResults asserts two Detect results are byte-identical: same
-// blocks, same bitwise scores, same truncation.
-func mustEqualResults(t *testing.T, label string, a, b Result) {
-	t.Helper()
-	if a.TruncatedAt != b.TruncatedAt {
-		t.Fatalf("%s: TruncatedAt %d vs %d", label, a.TruncatedAt, b.TruncatedAt)
-	}
-	if len(a.Scores) != len(b.Scores) {
-		t.Fatalf("%s: %d vs %d scores", label, len(a.Scores), len(b.Scores))
-	}
-	for i := range a.Scores {
-		if math.Float64bits(a.Scores[i]) != math.Float64bits(b.Scores[i]) {
-			t.Fatalf("%s: score %d differs bitwise: %v vs %v", label, i, a.Scores[i], b.Scores[i])
-		}
-	}
-	if len(a.Blocks) != len(b.Blocks) {
-		t.Fatalf("%s: %d vs %d blocks", label, len(a.Blocks), len(b.Blocks))
-	}
-	for i := range a.Blocks {
-		ba, bb := a.Blocks[i], b.Blocks[i]
-		if math.Float64bits(ba.Score) != math.Float64bits(bb.Score) {
-			t.Fatalf("%s: block %d score differs bitwise", label, i)
-		}
-		if len(ba.Users) != len(bb.Users) || len(ba.Merchants) != len(bb.Merchants) {
-			t.Fatalf("%s: block %d shape differs", label, i)
-		}
-		for j := range ba.Users {
-			if ba.Users[j] != bb.Users[j] {
-				t.Fatalf("%s: block %d user %d differs", label, i, j)
-			}
-		}
-		for j := range ba.Merchants {
-			if ba.Merchants[j] != bb.Merchants[j] {
-				t.Fatalf("%s: block %d merchant %d differs", label, i, j)
-			}
-		}
-	}
-}
-
-// TestBucketHeapEquivalence pins the tentpole contract: on unit weights the
-// bucket-queue engine and the heap engine produce byte-identical results —
-// blocks, bitwise scores, and truncation — across random graphs and both
-// truncation modes.
-func TestBucketHeapEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		g, _ := plantedGraph(seed, 120, 80, 500, 2, 6, 6)
-		for _, opts := range []Options{
-			{Metric: density.AvgDegree{}},
-			{Metric: density.AvgDegree{}, DisableEarlyStop: true, MaxBlocks: 20},
-			{Metric: density.AvgDegree{}, FixedK: 5},
-		} {
-			bucket := Detect(g, opts)
-			heapOpts := opts
-			heapOpts.ForceHeap = true
-			heap := Detect(g, heapOpts)
-			mustEqualResults(t, "detect", bucket, heap)
-		}
-	}
-}
-
-// TestBucketPathEngages guards the equivalence suite against vacuity: unit
-// weights must actually select the bucket engine, and the default
-// column-weighted metric must not.
-func TestBucketPathEngages(t *testing.T) {
-	g, _ := plantedGraph(3, 50, 40, 200, 1, 5, 5)
-	var s Scratch
-	s.Detect(g, Options{Metric: density.AvgDegree{}})
-	if !s.p.unitWeights || s.p.forceHeap {
-		t.Fatal("AvgDegree did not select the bucket engine")
-	}
-	s.Detect(g, Options{Metric: density.AvgDegree{}, ForceHeap: true})
-	if !s.p.forceHeap {
-		t.Fatal("ForceHeap not honored")
-	}
-	s.Detect(g, Options{})
-	if s.p.unitWeights {
-		t.Fatal("column-weighted metric misclassified as unit weights")
-	}
-	// Explicit all-unit weights hit the bucket path too.
-	w := make([]float64, g.NumMerchants())
-	for i := range w {
-		w[i] = 1
-	}
-	s.Detect(g, Options{MerchantWeights: w})
-	if !s.p.unitWeights {
-		t.Fatal("explicit unit weights did not select the bucket engine")
-	}
-}
-
 // TestPeelerAllEqualPrioritiesPinsTieBreak pins the raw deletion order on a
 // graph whose nodes all start at the same priority: the 3×3 biclique. Every
 // pop must take the lowest id among minimum-priority nodes, giving exactly
@@ -118,65 +28,60 @@ func TestBucketPathEngages(t *testing.T) {
 //	pop u2@1 → m2 drops to 0 → pop m2@0.
 func TestPeelerAllEqualPrioritiesPinsTieBreak(t *testing.T) {
 	want := []int32{0, 3, 1, 4, 2, 5}
-	for _, forceHeap := range []bool{false, true} {
-		g := completeBipartite(3, 3)
-		var p peeler
-		p.reset(g, density.AvgDegree{}, nil, forceHeap)
-		if _, ok := p.peelOnce(); !ok {
-			t.Fatal("peelOnce found nothing")
-		}
-		if len(p.order) != len(want) {
-			t.Fatalf("forceHeap=%v: %d deletions, want %d", forceHeap, len(p.order), len(want))
-		}
-		for i, id := range p.order {
-			if id != want[i] {
-				t.Fatalf("forceHeap=%v: deletion %d = node %d, want %d (order %v)", forceHeap, i, id, want[i], p.order)
-			}
+	g := completeBipartite(3, 3)
+	var p peeler
+	p.reset(g, density.AvgDegree{}, nil)
+	if _, ok := p.peelOnce(); !ok {
+		t.Fatal("peelOnce found nothing")
+	}
+	if len(p.order) != len(want) {
+		t.Fatalf("%d deletions, want %d", len(p.order), len(want))
+	}
+	for i, id := range p.order {
+		if id != want[i] {
+			t.Fatalf("deletion %d = node %d, want %d (order %v)", i, id, want[i], p.order)
 		}
 	}
 }
 
-// TestDetectDegenerateInputs covers the peeler edge cases on both engines:
-// empty graph, a single edge, and a graph that empties entirely in round
-// one.
+// TestDetectDegenerateInputs covers the peeler edge cases: empty graph, a
+// single edge, and a graph that empties entirely in round one.
 func TestDetectDegenerateInputs(t *testing.T) {
-	for _, forceHeap := range []bool{false, true} {
-		opts := Options{Metric: density.AvgDegree{}, ForceHeap: forceHeap}
+	opts := Options{Metric: density.AvgDegree{}}
 
-		// Empty graph: no blocks, no scores.
-		empty := Detect(bipartite.NewBuilder().Build(), opts)
-		if len(empty.Blocks) != 0 || len(empty.Scores) != 0 || empty.TruncatedAt != 0 {
-			t.Fatalf("forceHeap=%v: empty graph detected %+v", forceHeap, empty)
-		}
+	// Empty graph: no blocks, no scores.
+	empty := Detect(bipartite.NewBuilder().Build(), opts)
+	if len(empty.Blocks) != 0 || len(empty.Scores) != 0 || empty.TruncatedAt != 0 {
+		t.Fatalf("empty graph detected %+v", empty)
+	}
 
-		// Single edge: one block holding both endpoints, φ = 1/2.
-		single := bipartite.NewBuilderSized(1, 1, 1)
-		single.AddEdge(0, 0)
-		res := Detect(single.Build(), opts)
-		if len(res.Blocks) != 1 {
-			t.Fatalf("forceHeap=%v: single edge gave %d blocks", forceHeap, len(res.Blocks))
-		}
-		blk := res.Blocks[0]
-		if len(blk.Users) != 1 || blk.Users[0] != 0 || len(blk.Merchants) != 1 || blk.Merchants[0] != 0 {
-			t.Fatalf("forceHeap=%v: single-edge block = %+v", forceHeap, blk)
-		}
-		if blk.Score != 0.5 {
-			t.Fatalf("forceHeap=%v: single-edge score = %v, want 0.5", forceHeap, blk.Score)
-		}
+	// Single edge: one block holding both endpoints, φ = 1/2.
+	single := bipartite.NewBuilderSized(1, 1, 1)
+	single.AddEdge(0, 0)
+	res := Detect(single.Build(), opts)
+	if len(res.Blocks) != 1 {
+		t.Fatalf("single edge gave %d blocks", len(res.Blocks))
+	}
+	blk := res.Blocks[0]
+	if len(blk.Users) != 1 || blk.Users[0] != 0 || len(blk.Merchants) != 1 || blk.Merchants[0] != 0 {
+		t.Fatalf("single-edge block = %+v", blk)
+	}
+	if blk.Score != 0.5 {
+		t.Fatalf("single-edge score = %v, want 0.5", blk.Score)
+	}
 
-		// Complete biclique: round one consumes the whole graph (the best
-		// suffix is the intact graph, and removing its edges empties it), so
-		// detection must stop after one block even when asked for more.
-		res = Detect(completeBipartite(4, 4), Options{Metric: density.AvgDegree{}, ForceHeap: forceHeap, FixedK: 5})
-		if len(res.Blocks) != 1 {
-			t.Fatalf("forceHeap=%v: biclique gave %d blocks, want 1", forceHeap, len(res.Blocks))
-		}
-		blk = res.Blocks[0]
-		if len(blk.Users) != 4 || len(blk.Merchants) != 4 {
-			t.Fatalf("forceHeap=%v: biclique block shape %dx%d, want 4x4", forceHeap, len(blk.Users), len(blk.Merchants))
-		}
-		if blk.Score != 2 { // 16 edges / 8 nodes
-			t.Fatalf("forceHeap=%v: biclique score = %v, want 2", forceHeap, blk.Score)
-		}
+	// Complete biclique: round one consumes the whole graph (the best
+	// suffix is the intact graph, and removing its edges empties it), so
+	// detection must stop after one block even when asked for more.
+	res = Detect(completeBipartite(4, 4), Options{Metric: density.AvgDegree{}, FixedK: 5})
+	if len(res.Blocks) != 1 {
+		t.Fatalf("biclique gave %d blocks, want 1", len(res.Blocks))
+	}
+	blk = res.Blocks[0]
+	if len(blk.Users) != 4 || len(blk.Merchants) != 4 {
+		t.Fatalf("biclique block shape %dx%d, want 4x4", len(blk.Users), len(blk.Merchants))
+	}
+	if blk.Score != 2 { // 16 edges / 8 nodes
+		t.Fatalf("biclique score = %v, want 2", blk.Score)
 	}
 }
