@@ -12,15 +12,18 @@
 //	               [-out soak.json] [-bench]
 //
 // Ingest workers draw edges from a single global sequence: batch b covers
-// user ids seq..seq+batch-1 modulo -users, so a run that ships at least
-// -users edges has touched every distinct user id — coverage is arithmetic,
-// not probabilistic. Merchant ids are a multiplicative hash of the sequence
-// number, spreading edges across the merchant side without coordination.
+// user ids seq..seq+batch-1 modulo -users, so a run whose acknowledged
+// batches span at least -users edges has touched every distinct user id —
+// coverage is arithmetic, not probabilistic, and distinct_users counts
+// acknowledged batches only. Merchant ids are a multiplicative hash of the
+// sequence number, spreading edges across the merchant side without
+// coordination.
 //
 // The harness speaks the daemon's backpressure contract: a 429 (admission
 // queue full) is counted as shed — never as an error — and the worker backs
-// off for the Retry-After hint before retrying. 5xx responses are counted
-// separately; any of those is a daemon fault.
+// off for the Retry-After hint (1 s without one), then resends the same
+// batch, so a shed batch is delayed, never skipped. 5xx responses are
+// counted separately as daemon faults and resent the same way.
 //
 // Latencies are recorded per request and the quantiles computed exactly
 // (sort, nearest rank) rather than through a sketch: a soak's sample counts
@@ -76,7 +79,7 @@ type summary struct {
 type pathSummary struct {
 	Requests int64  `json:"requests"`
 	Shed429  int64  `json:"shed_429"`
-	Errors   int64  `json:"errors"`  // 5xx and transport failures
+	Errors   int64  `json:"errors"`  // 5xx, other non-429 rejections, transport failures
 	Samples  int    `json:"samples"` // latencies the quantiles rest on
 	P50Ms    jsonMS `json:"p50_ms"`
 	P99Ms    jsonMS `json:"p99_ms"`
@@ -207,12 +210,11 @@ func run() error {
 		Timeout: 2 * time.Minute,
 	}
 
-	var (
-		seq       atomic.Int64 // global edge sequence: user id = seq mod -users
-		edgesSent atomic.Int64
-		ingestRec recorder
-		detectRec recorder
-	)
+	ingest := &ingestLoad{
+		client: client, url: *addr + "/v1/edges",
+		batch: int64(*batch), users: *users, merchants: *merchants,
+	}
+	var detectRec recorder
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -220,31 +222,7 @@ func run() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lat := make([]time.Duration, 0, 1<<14)
-			defer func() { ingestRec.donate(lat) }()
-			body := make([]byte, 0, 16**batch)
-			for ctx.Err() == nil {
-				base := seq.Add(int64(*batch)) - int64(*batch)
-				body = appendBatch(body[:0], base, int64(*batch), *users, *merchants)
-				d, status, err := post(ctx, client, *addr+"/v1/edges", body)
-				if err != nil {
-					if ctx.Err() == nil {
-						ingestRec.errors.Add(1)
-					}
-					continue
-				}
-				ingestRec.requests.Add(1)
-				lat = append(lat, d)
-				switch {
-				case status == http.StatusTooManyRequests:
-					ingestRec.shed.Add(1)
-					sleep(ctx, time.Second) // honor the Retry-After contract
-				case status >= 500:
-					ingestRec.errors.Add(1)
-				default:
-					edgesSent.Add(int64(*batch))
-				}
-			}
+			ingest.work(ctx)
 		}()
 	}
 
@@ -263,7 +241,7 @@ func run() error {
 					return
 				case <-t.C:
 				}
-				d, status, err := post(ctx, client, *addr+"/v1/detect", []byte(req))
+				d, status, _, err := post(ctx, client, *addr+"/v1/detect", []byte(req))
 				if err != nil {
 					if ctx.Err() == nil {
 						detectRec.errors.Add(1)
@@ -285,16 +263,12 @@ func run() error {
 	sum := summary{
 		DurationSeconds: elapsed.Seconds(),
 		Users:           *users,
-		Ingest:          ingestRec.summarize(),
+		DistinctUsers:   coveredUsers(ingest.acked, ingest.batch, *users),
+		Ingest:          ingest.rec.summarize(),
 		Detect:          detectRec.summarize(),
-		EdgesSent:       edgesSent.Load(),
+		EdgesSent:       int64(len(ingest.acked)) * ingest.batch,
 	}
 	sum.EdgesPerSecond = float64(sum.EdgesSent) / elapsed.Seconds()
-	if n := seq.Load(); n < *users {
-		sum.DistinctUsers = n
-	} else {
-		sum.DistinctUsers = *users
-	}
 	sum.FinalStats = fetchStats(client, *addr)
 
 	enc, err := json.MarshalIndent(sum, "", "  ")
@@ -312,6 +286,105 @@ func run() error {
 		printBenchRows(sum)
 	}
 	return nil
+}
+
+// ingestLoad is the state the ingest workers share: the global edge
+// sequence, the latency recorder, and the sequence bases of every batch the
+// daemon acknowledged.
+type ingestLoad struct {
+	client                  *http.Client
+	url                     string
+	batch, users, merchants int64
+
+	seq atomic.Int64 // global edge sequence: user id = seq mod users
+	rec recorder
+
+	mu    sync.Mutex
+	acked []int64
+}
+
+// work runs one ingest worker until ctx ends. Each batch drawn from the
+// sequence is resent until the daemon acknowledges it: after a 429, a 5xx
+// or a transport failure the worker waits out the Retry-After hint (1 s
+// without one) and resends the same bytes. Any other rejection drops the
+// batch, which then never counts as sent.
+func (l *ingestLoad) work(ctx context.Context) {
+	lat := make([]time.Duration, 0, 1<<14)
+	var acked []int64
+	defer func() {
+		l.rec.donate(lat)
+		l.mu.Lock()
+		l.acked = append(l.acked, acked...)
+		l.mu.Unlock()
+	}()
+	body := make([]byte, 0, 16*l.batch)
+	for ctx.Err() == nil {
+		base := l.seq.Add(l.batch) - l.batch
+		body = appendBatch(body[:0], base, l.batch, l.users, l.merchants)
+		for ctx.Err() == nil {
+			d, status, hint, err := post(ctx, l.client, l.url, body)
+			if err != nil {
+				if ctx.Err() == nil {
+					l.rec.errors.Add(1)
+					sleep(ctx, time.Second)
+				}
+				continue
+			}
+			l.rec.requests.Add(1)
+			lat = append(lat, d)
+			if status/100 == 2 {
+				acked = append(acked, base)
+				break
+			}
+			if status == http.StatusTooManyRequests {
+				l.rec.shed.Add(1)
+			} else {
+				l.rec.errors.Add(1)
+				if status < 500 {
+					break // the request itself was refused; resending cannot help
+				}
+			}
+			sleep(ctx, retryAfter(hint))
+		}
+	}
+}
+
+// retryAfter reads a Retry-After header given in seconds, falling back to
+// one second when it is absent or not a non-negative integer.
+func retryAfter(h string) time.Duration {
+	if secs, err := strconv.Atoi(h); err == nil && secs >= 0 {
+		return time.Duration(secs) * time.Second
+	}
+	return time.Second
+}
+
+// coveredUsers counts the distinct user ids touched by the acknowledged
+// batches starting at the given sequence bases, each batch edges long: the
+// union of their sequence ranges taken modulo users.
+func coveredUsers(bases []int64, batch, users int64) int64 {
+	if len(bases) > 0 && batch >= users {
+		return users
+	}
+	type span struct{ lo, hi int64 }
+	spans := make([]span, 0, len(bases)+1)
+	for _, base := range bases {
+		lo := base % users
+		if hi := lo + batch; hi <= users {
+			spans = append(spans, span{lo, hi})
+		} else {
+			spans = append(spans, span{lo, users}, span{0, hi - users})
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	var covered, end int64
+	for _, sp := range spans {
+		if sp.hi <= end {
+			continue
+		}
+		covered += sp.hi - max(sp.lo, end)
+		end = sp.hi
+	}
+	return covered
 }
 
 // appendBatch builds the /v1/edges JSON body for edges base..base+n-1 of the
@@ -336,21 +409,23 @@ func appendBatch(b []byte, base, n, users, merchants int64) []byte {
 	return append(b, `]}`...)
 }
 
-func post(ctx context.Context, client *http.Client, url string, body []byte) (time.Duration, int, error) {
+// post sends one JSON request, returning its latency, status and
+// Retry-After header.
+func post(ctx context.Context, client *http.Client, url string, body []byte) (time.Duration, int, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	start := time.Now()
 	resp, err := client.Do(req)
 	d := time.Since(start)
 	if err != nil {
-		return d, 0, err
+		return d, 0, "", err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	return d, resp.StatusCode, nil
+	return d, resp.StatusCode, resp.Header.Get("Retry-After"), nil
 }
 
 func sleep(ctx context.Context, d time.Duration) {

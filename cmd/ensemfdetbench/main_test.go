@@ -1,10 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -55,6 +60,119 @@ func TestSummarizeNearestRank(t *testing.T) {
 		}
 		if withheld := strings.Contains(string(js), `"p999_ms":null`); withheld != (tc.n < minP999Samples) {
 			t.Errorf("n=%d: p999 withheld = %v in %s", tc.n, withheld, js)
+		}
+	}
+}
+
+// TestIngestResendsShedBatches drives one ingest worker against a server
+// that sheds its first requests — three 429s, then a 503, all with
+// "Retry-After: 0" — and acknowledges the rest. The shed batch must be
+// resent byte-for-byte until acknowledged rather than skipped, so the
+// acknowledged batches tile the sequence without a hole, and only they
+// count toward edges sent and distinct users.
+func TestIngestResendsShedBatches(t *testing.T) {
+	const acks = 5
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		mu     sync.Mutex
+		bodies []string
+		served int
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		defer mu.Unlock()
+		served++
+		switch {
+		case served <= 3:
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		case served == 4:
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		if len(bodies) == acks {
+			cancel() // end the run on this batch: it never gets an answer
+			<-r.Context().Done()
+			return
+		}
+		bodies = append(bodies, string(body))
+	}))
+	defer srv.Close()
+
+	l := &ingestLoad{client: srv.Client(), url: srv.URL, batch: 4, users: 100, merchants: 7}
+	done := make(chan struct{})
+	go func() {
+		l.work(ctx)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ingest worker did not finish")
+	}
+
+	if got := l.rec.shed.Load(); got != 3 {
+		t.Errorf("shed = %d, want 3", got)
+	}
+	if got := l.rec.errors.Load(); got != 1 {
+		t.Errorf("errors = %d, want 1 (the 503)", got)
+	}
+	if first := string(appendBatch(nil, 0, 4, 100, 7)); bodies[0] != first {
+		t.Fatalf("first acknowledged body %s, want the shed batch %s resent", bodies[0], first)
+	}
+	if len(l.acked) != acks {
+		t.Fatalf("acked %d batches, want %d", len(l.acked), acks)
+	}
+	for i, base := range l.acked {
+		if base != int64(4*i) {
+			t.Fatalf("acked bases %v, want 0, 4, 8, ... without a hole", l.acked)
+		}
+	}
+	if got := coveredUsers(l.acked, l.batch, l.users); got != 4*acks {
+		t.Errorf("distinct users = %d, want %d", got, 4*acks)
+	}
+}
+
+// TestCoveredUsers pins the coverage arithmetic: the union of acknowledged
+// sequence ranges modulo the user space, with holes left by unacknowledged
+// batches, overlap after wrapping, and a batch wider than the space.
+func TestCoveredUsers(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		bases              []int64
+		batch, users, want int64
+	}{
+		{"none", nil, 4, 10, 0},
+		{"contiguous", []int64{0, 4}, 4, 100, 8},
+		{"hole", []int64{0, 8}, 4, 100, 8},
+		{"unsorted", []int64{8, 0, 4}, 4, 100, 12},
+		{"wraps", []int64{8}, 4, 10, 4},
+		{"wrap overlap", []int64{8, 0}, 4, 10, 6},
+		{"full cycle", []int64{0, 4, 8, 12}, 4, 10, 10},
+		{"batch wider than users", []int64{0}, 16, 10, 10},
+	} {
+		if got := coveredUsers(tc.bases, tc.batch, tc.users); got != tc.want {
+			t.Errorf("%s: coveredUsers(%v, %d, %d) = %d, want %d", tc.name, tc.bases, tc.batch, tc.users, got, tc.want)
+		}
+	}
+}
+
+// TestRetryAfter: an integer hint in seconds is honoured, anything else
+// falls back to one second.
+func TestRetryAfter(t *testing.T) {
+	for h, want := range map[string]time.Duration{
+		"0":    0,
+		"2":    2 * time.Second,
+		"":     time.Second,
+		"-1":   time.Second,
+		"soon": time.Second,
+	} {
+		if got := retryAfter(h); got != want {
+			t.Errorf("retryAfter(%q) = %v, want %v", h, got, want)
 		}
 	}
 }

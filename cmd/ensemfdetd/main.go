@@ -46,12 +46,11 @@
 // With -data-dir set the daemon is durable: every accepted ingest batch is
 // framed into a checksummed write-ahead log (fsynced before the HTTP 200
 // under -fsync always), edge retirements are framed as tombstone records in
-// the same log (format v2; pre-windowing v1 segments still replay), binary
-// CSR snapshots recording the window watermark are written in the background
-// once the log grows past -snapshot-every bytes, and a restart — graceful
-// or kill -9 — recovers the same graph, version and watermark, truncating a
-// torn WAL tail from a mid-write crash instead of refusing to start. No
-// restart resurrects an expired edge.
+// the same log, binary CSR snapshots recording the window watermark are
+// written in the background once the log grows past -snapshot-every bytes,
+// and a restart — graceful or kill -9 — recovers the same graph, version
+// and watermark, truncating a torn WAL tail from a mid-write crash instead
+// of refusing to start. No restart resurrects an expired edge.
 //
 // A durable daemon started with -serve-replication is a replication primary:
 // it ships its snapshot and WAL to followers over GET /v1/repl/. A daemon

@@ -2,8 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,77 +10,50 @@ import (
 	"ensemfdet/internal/stream"
 )
 
-// writeLegacySnapshot hand-crafts a pre-epoch snapshot file exactly as PR 4
-// (format 1) and PR 5 (format 2) wrote them, so recovery is exercised
-// against real historical bytes rather than whatever the current writer
-// emits.
-func writeLegacySnapshot(t *testing.T, dir string, format uint32, g *bipartite.Graph, version uint64, mark stream.WindowMark, writtenAt int64) {
-	t.Helper()
-	hdrLen := 20
-	if format == snapFormatV2 {
-		hdrLen = 44
-	}
-	hdr := make([]byte, hdrLen+4)
-	copy(hdr, snapMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], format)
-	binary.LittleEndian.PutUint64(hdr[12:], version)
-	if format == snapFormatV2 {
-		binary.LittleEndian.PutUint64(hdr[20:], mark.Version)
-		binary.LittleEndian.PutUint64(hdr[28:], uint64(mark.Wall))
-		binary.LittleEndian.PutUint64(hdr[36:], uint64(writtenAt))
-	}
-	binary.LittleEndian.PutUint32(hdr[hdrLen:], crc32.Checksum(hdr[:hdrLen], castagnoli))
-	var buf bytes.Buffer
-	buf.Write(hdr)
-	if err := bipartite.WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath(filepath.Join(dir, "snap"), version), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // snapOf cuts g's current bipartite snapshot, discarding the version.
 func snapOf(g *stream.Graph) *bipartite.Graph {
 	s, _ := g.Snapshot()
 	return s
 }
 
-// encodeV1Frame frames one legacy (PR 4-era) WAL record: the v1 format knew
-// only edge batches and had no kind field.
-func encodeV1Frame(version uint64, edges []bipartite.Edge) []byte {
-	n := 12 + 8*len(edges)
-	b := make([]byte, walFrameBytes+n)
-	binary.LittleEndian.PutUint32(b, uint32(n))
-	payload := b[walFrameBytes:]
-	binary.LittleEndian.PutUint64(payload, version)
-	binary.LittleEndian.PutUint32(payload[8:], uint32(len(edges)))
-	for i, e := range edges {
-		binary.LittleEndian.PutUint32(payload[12+8*i:], e.U)
-		binary.LittleEndian.PutUint32(payload[12+8*i+4:], e.V)
+// writeSegment lays recs out as one WAL segment file at path.
+func writeSegment(t *testing.T, path string, recs ...walRecord) []byte {
+	t.Helper()
+	data := append([]byte(nil), walMagic[:]...)
+	var scratch []byte
+	for _, r := range recs {
+		data = append(data, encodeRecord(&scratch, r)...)
 	}
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
-	return b
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
-// TestMixedFormatRecoveryPreEpochDir is the acceptance-criteria pin for
-// format compatibility: a data dir assembled from pre-epoch artifacts — a
-// format-1 or format-2 snapshot, a magic-less v1 WAL segment, a v2 segment
-// with no fence records, and no fence file — must recover into the
-// epoch-aware store at epoch 0 with ingest owned (the single-primary
-// behaviour every pre-failover deployment ran under), byte-identical to an
-// in-memory replay, without rewriting the legacy files. Promotion must then
-// work on top of that history, and survive a reboot.
+// TestMixedFormatRecoveryPreEpochDir pins recovery of a directory written
+// before any failover: no fence file, a snapshot at version 5 and epoch 0,
+// and segments holding edge batches and a tombstone but no fence record. It
+// must recover into the epoch-aware store at epoch 0 with ingest owned (the
+// single-primary behaviour), byte-identical to an in-memory replay, without
+// rewriting the sealed segments. Promotion must then layer the first fence
+// on top of that history, and survive a reboot.
+//
+// The snapshotV1 and snapshotV2 rows hold the snapshot in a retired header
+// shape: it is refused as unreadable, and since the WAL still covers its
+// versions, recovery replays the whole log instead. The snapshotV3 row
+// seeds recovery from the current-format snapshot.
 func TestMixedFormatRecoveryPreEpochDir(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		format uint32
 	}{
-		{"snapshotV1", snapFormatV1},
-		{"snapshotV2", snapFormatV2},
+		{"snapshotV1", 1},
+		{"snapshotV2", 2},
+		{"snapshotV3", snapFormat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			walDir := filepath.Join(dir, "wal")
 			for _, sub := range []string{"snap", "wal"} {
 				if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 					t.Fatal(err)
@@ -100,30 +71,34 @@ func TestMixedFormatRecoveryPreEpochDir(t *testing.T) {
 			if snapVer != 5 {
 				t.Fatalf("reference snapshot at version %d, want 5", snapVer)
 			}
-			writeLegacySnapshot(t, dir, tc.format, snapG, snapVer,
-				stream.WindowMark{Version: 3, Wall: 111}, 222)
-
-			// Segment 1: legacy v1 (no magic), versions 6-7.
-			var seg1 bytes.Buffer
-			seg1.Write(encodeV1Frame(6, batches[5]))
-			seg1.Write(encodeV1Frame(7, batches[6]))
-			seg1Path := segPath(filepath.Join(dir, "wal"), 1)
-			if err := os.WriteFile(seg1Path, seg1.Bytes(), 0o644); err != nil {
+			snapDir := filepath.Join(dir, "snap")
+			if tc.format == snapFormat {
+				if _, err := writeSnapshotFile(snapDir, snapG, snapVer, stream.WindowMark{Version: 3, Wall: 111}, 222, 0); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := os.WriteFile(snapPath(snapDir, snapVer), oldFormatSnapshot(t, tc.format, snapG, snapVer), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
-			// Segment 2: v2 framing, an edge batch then a tombstone — the
-			// full PR 5 repertoire, no epoch fences anywhere.
+			// Segment 1 (sealed): the batches the snapshot covers, versions
+			// 1-5. Segment 2 (sealed): edge batches at versions 6-7.
+			// Segment 3: an edge batch then a tombstone. No epoch fences
+			// anywhere.
+			var covered []walRecord
+			for i, b := range batches[:5] {
+				covered = append(covered, walRecord{version: uint64(i + 1), kind: recEdges, edges: b})
+			}
+			sealed := map[string][]byte{
+				segPath(walDir, 1): writeSegment(t, segPath(walDir, 1), covered...),
+				segPath(walDir, 2): writeSegment(t, segPath(walDir, 2),
+					walRecord{version: 6, kind: recEdges, edges: batches[5]},
+					walRecord{version: 7, kind: recEdges, edges: batches[6]}),
+			}
 			retired := batches[0][:5]
 			mark := stream.WindowMark{Version: 6, Wall: 333}
-			var seg2 bytes.Buffer
-			seg2.Write(walMagic[:])
-			var scratch []byte
-			seg2.Write(encodeRecord(&scratch, walRecord{version: 8, kind: recEdges, edges: batches[7]}))
-			seg2.Write(encodeRecord(&scratch, walRecord{version: 9, kind: recTombstone, mark: mark, edges: retired}))
-			if err := os.WriteFile(segPath(filepath.Join(dir, "wal"), 2), seg2.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeSegment(t, segPath(walDir, 3),
+				walRecord{version: 8, kind: recEdges, edges: batches[7]},
+				walRecord{version: 9, kind: recTombstone, mark: mark, edges: retired})
 
 			for _, b := range batches[5:] {
 				ref.Append(b)
@@ -138,8 +113,12 @@ func TestMixedFormatRecoveryPreEpochDir(t *testing.T) {
 			if epoch, start, owned := st.Epoch(); epoch != 0 || start != 0 || !owned {
 				t.Fatalf("pre-epoch dir recovered to epoch %d start %d owned %v, want 0/0/owned", epoch, start, owned)
 			}
-			if rec.SnapshotVersion != 5 || rec.ReplayedRecords != 4 {
-				t.Fatalf("recovery stats %+v, want snapshot 5 and 4 replayed records", rec)
+			wantSnap, wantReplayed := uint64(5), 4
+			if tc.format != snapFormat {
+				wantSnap, wantReplayed = 0, 9
+			}
+			if rec.SnapshotVersion != wantSnap || rec.ReplayedRecords != wantReplayed {
+				t.Fatalf("recovery stats %+v, want snapshot %d and %d replayed records", rec, wantSnap, wantReplayed)
 			}
 			if g.Version() != 9 {
 				t.Fatalf("recovered version %d, want 9", g.Version())
@@ -148,15 +127,15 @@ func TestMixedFormatRecoveryPreEpochDir(t *testing.T) {
 				t.Fatal("recovered graph differs from the reference replay")
 			}
 
-			// "Without rewrite": the sealed legacy segment's bytes are
-			// untouched by recovery — epoch awareness cost the old files
-			// nothing.
-			after, err := os.ReadFile(seg1Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(after, seg1.Bytes()) {
-				t.Fatal("recovery rewrote the legacy v1 WAL segment")
+			// Recovery leaves the sealed segments' bytes untouched.
+			for path, want := range sealed {
+				after, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(after, want) {
+					t.Fatalf("recovery rewrote the sealed WAL segment %s", filepath.Base(path))
+				}
 			}
 
 			// The epoch-aware store keeps serving the pre-epoch history:
@@ -195,42 +174,38 @@ func TestMixedFormatRecoveryPreEpochDir(t *testing.T) {
 
 // TestBitFlipsInWALPayloadAreRejected pins the checksum guarantee the fuzz
 // target probes at random: flipping any single bit of a frame's
-// CRC-protected region (the checksum itself, or the payload) makes both
-// decoders reject the frame — a corrupt record is never applied.
+// CRC-protected region (the checksum itself, or the payload) makes the
+// decoder reject the frame — a corrupt record is never applied.
 func TestBitFlipsInWALPayloadAreRejected(t *testing.T) {
 	var scratch []byte
 	frames := [][]byte{
 		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 1, kind: recEdges, edges: edgesN(0, 3)})...),
 		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 2, kind: recTombstone, mark: stream.WindowMark{Version: 1, Wall: 99}, edges: edgesN(3, 2)})...),
 		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 3, kind: recEpochFence, epoch: 7})...),
-		encodeV1Frame(4, edgesN(0, 2)),
 	}
 	for fi, frame := range frames {
 		for bit := 32; bit < 8*len(frame); bit++ { // skip the uncovered length word
 			mut := append([]byte(nil), frame...)
 			mut[bit/8] ^= 1 << (bit % 8)
-			if _, _, ok := decodeRecordV2(mut); ok && fi < 3 {
-				t.Fatalf("frame %d: v2 decoder accepted a flip at bit %d", fi, bit)
-			}
-			if _, _, ok := decodeRecordV1(mut); ok && fi == 3 {
-				t.Fatalf("frame %d: v1 decoder accepted a flip at bit %d", fi, bit)
+			if _, _, ok := decodeRecord(mut); ok {
+				t.Fatalf("frame %d: decoder accepted a flip at bit %d", fi, bit)
 			}
 		}
 	}
 }
 
-// FuzzDecodeRecord hammers both WAL frame decoders with arbitrary bytes:
-// they must never panic, never accept a zero version or an edge-carrying
-// fence, never claim to have consumed more input than exists, and every
-// frame the v2 decoder does accept must re-encode byte-identically — so a
-// decode-modify cycle can never silently corrupt a segment.
+// FuzzDecodeRecord hammers the WAL frame decoder with arbitrary bytes: it
+// must never panic, never accept a zero version or an edge-carrying fence,
+// never claim to have consumed more input than exists, and every frame it
+// does accept must re-encode byte-identically — so a decode-modify cycle can
+// never silently corrupt a segment.
 func FuzzDecodeRecord(f *testing.F) {
 	var scratch []byte
 	seeds := [][]byte{
 		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 1, kind: recEdges, edges: edgesN(0, 3)})...),
 		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 2, kind: recTombstone, mark: stream.WindowMark{Version: 5, Wall: 42}, edges: edgesN(4, 2)})...),
 		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 3, kind: recEpochFence, epoch: 9})...),
-		encodeV1Frame(4, edgesN(0, 2)),
+		append([]byte(nil), encodeRecord(&scratch, walRecord{version: 4, kind: recTombstone})...),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -241,31 +216,53 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if rec, n, ok := decodeRecordV2(data); ok {
-			if n <= 0 || n > len(data) {
-				t.Fatalf("v2 consumed %d of %d bytes", n, len(data))
-			}
-			if rec.version == 0 {
-				t.Fatal("v2 accepted a zero version")
-			}
-			if rec.kind == recEpochFence && len(rec.edges) != 0 {
-				t.Fatal("v2 accepted an edge-carrying fence")
-			}
-			var buf []byte
-			if !bytes.Equal(encodeRecord(&buf, rec), data[:n]) {
-				t.Fatal("v2 decode/encode round-trip is not byte-identical")
-			}
+		rec, n, ok := decodeRecord(data)
+		if !ok {
+			return
 		}
-		if rec, n, ok := decodeRecordV1(data); ok {
-			if n <= 0 || n > len(data) {
-				t.Fatalf("v1 consumed %d of %d bytes", n, len(data))
-			}
-			if rec.version == 0 {
-				t.Fatal("v1 accepted a zero version")
-			}
-			if rec.kind != recEdges {
-				t.Fatalf("v1 produced kind %d", rec.kind)
-			}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
+		}
+		if rec.version == 0 {
+			t.Fatal("decoder accepted a zero version")
+		}
+		if rec.kind == recEpochFence && len(rec.edges) != 0 {
+			t.Fatal("decoder accepted an edge-carrying fence")
+		}
+		var buf []byte
+		if !bytes.Equal(encodeRecord(&buf, rec), data[:n]) {
+			t.Fatal("decode/encode round-trip is not byte-identical")
+		}
+	})
+}
+
+// FuzzDecodeFence feeds arbitrary bytes to the fence decoder: it must never
+// panic, and every fence it accepts must re-encode to the input's first
+// fenceHdrBytes+4 bytes — so the ownership a node boots with is exactly
+// what some fence write put on disk.
+func FuzzDecodeFence(f *testing.F) {
+	for _, fs := range []fenceState{
+		{epoch: 1, start: 11, owned: true},
+		{epoch: 7, start: 0, owned: false},
+		{},
+	} {
+		enc := encodeFence(fs)
+		f.Add(enc[:])
+		f.Add(append([]byte(nil), enc[:len(enc)-1]...))
+		f.Add(append([]byte(nil), enc[:12]...))
+		for _, at := range []int{3, 10, 20, 28, len(enc) - 1} {
+			flipped := enc
+			flipped[at] ^= 0x01
+			f.Add(flipped[:])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs, err := decodeFence(data)
+		if err != nil {
+			return
+		}
+		if enc := encodeFence(fs); !bytes.Equal(enc[:], data[:len(enc)]) {
+			t.Fatalf("decoded %+v re-encodes to %x, input began %x", fs, enc, data[:len(enc)])
 		}
 	})
 }

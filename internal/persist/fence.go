@@ -20,7 +20,7 @@ import (
 //	uint32   format version (1)
 //	uint64   epoch
 //	uint64   epoch start version (first graph version of the epoch; 0 unknown)
-//	uint8    owned (1 = local ingest may acknowledge writes in this epoch)
+//	uint8    owned (0 or 1; 1 = local ingest may acknowledge writes in this epoch)
 //	uint32   crc32c over the 29 bytes above
 //
 // A missing fence file means the directory predates failover: epoch 0,
@@ -41,15 +41,8 @@ type fenceState struct {
 	owned bool
 }
 
-// writeFenceFile durably publishes fs under dir (tmp → fsync → rename →
-// dir fsync). inject, when non-nil, is consulted at "fence.write" before any
-// byte lands — the promote crash-point drills hang off it.
-func writeFenceFile(dir string, fs fenceState, inject func(string) error) error {
-	if inject != nil {
-		if err := inject("fence.write"); err != nil {
-			return fmt.Errorf("persist: fence write: %w", err)
-		}
-	}
+// encodeFence lays fs out in the fence file format.
+func encodeFence(fs fenceState) [fenceHdrBytes + 4]byte {
 	var buf [fenceHdrBytes + 4]byte
 	copy(buf[:8], fenceMagic[:])
 	binary.LittleEndian.PutUint32(buf[8:], fenceFormatV1)
@@ -59,6 +52,41 @@ func writeFenceFile(dir string, fs fenceState, inject func(string) error) error 
 		buf[28] = 1
 	}
 	binary.LittleEndian.PutUint32(buf[fenceHdrBytes:], crc32.Checksum(buf[:fenceHdrBytes], castagnoli))
+	return buf
+}
+
+// decodeFence parses a fence file's bytes. Anything but a checksummed
+// format-1 fence is an error.
+func decodeFence(data []byte) (fenceState, error) {
+	if len(data) < fenceHdrBytes+4 || [8]byte(data[:8]) != fenceMagic {
+		return fenceState{}, fmt.Errorf("persist: fence file: bad magic or truncated")
+	}
+	if format := binary.LittleEndian.Uint32(data[8:]); format != fenceFormatV1 {
+		return fenceState{}, fmt.Errorf("persist: fence file: unsupported format %d (want %d)", format, fenceFormatV1)
+	}
+	if crc32.Checksum(data[:fenceHdrBytes], castagnoli) != binary.LittleEndian.Uint32(data[fenceHdrBytes:]) {
+		return fenceState{}, fmt.Errorf("persist: fence file: checksum mismatch")
+	}
+	if data[28] > 1 {
+		return fenceState{}, fmt.Errorf("persist: fence file: owned flag %d is neither 0 nor 1", data[28])
+	}
+	return fenceState{
+		epoch: binary.LittleEndian.Uint64(data[12:]),
+		start: binary.LittleEndian.Uint64(data[20:]),
+		owned: data[28] == 1,
+	}, nil
+}
+
+// writeFenceFile durably publishes fs under dir (tmp → fsync → rename →
+// dir fsync). inject, when non-nil, is consulted at "fence.write" before any
+// byte lands — the promote crash-point drills hang off it.
+func writeFenceFile(dir string, fs fenceState, inject func(string) error) error {
+	if inject != nil {
+		if err := inject("fence.write"); err != nil {
+			return fmt.Errorf("persist: fence write: %w", err)
+		}
+	}
+	buf := encodeFence(fs)
 
 	path := filepath.Join(dir, fenceFileName)
 	tmp := path + ".tmp"
@@ -97,17 +125,6 @@ func readFenceFile(dir string) (fs fenceState, ok bool, err error) {
 	if err != nil {
 		return fenceState{}, false, fmt.Errorf("persist: reading fence file: %w", err)
 	}
-	if len(data) < fenceHdrBytes+4 || [8]byte(data[:8]) != fenceMagic {
-		return fenceState{}, false, fmt.Errorf("persist: fence file: bad magic or truncated")
-	}
-	if format := binary.LittleEndian.Uint32(data[8:]); format != fenceFormatV1 {
-		return fenceState{}, false, fmt.Errorf("persist: fence file: unsupported format %d", format)
-	}
-	if crc32.Checksum(data[:fenceHdrBytes], castagnoli) != binary.LittleEndian.Uint32(data[fenceHdrBytes:]) {
-		return fenceState{}, false, fmt.Errorf("persist: fence file: checksum mismatch")
-	}
-	fs.epoch = binary.LittleEndian.Uint64(data[12:])
-	fs.start = binary.LittleEndian.Uint64(data[20:])
-	fs.owned = data[28] == 1
-	return fs, true, nil
+	fs, err = decodeFence(data)
+	return fs, err == nil, err
 }

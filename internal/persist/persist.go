@@ -6,8 +6,17 @@
 //
 // # Data layout
 //
-//	<dir>/wal/seg-<index>.wal   length+CRC32C-framed edge-batch records
-//	<dir>/snap/snap-<ver>.snap  versioned header + bipartite CSR codec blob
+//	<dir>/wal/seg-<index>.wal   magic + length+CRC32C-framed records
+//	<dir>/snap/snap-<ver>.snap  format-3 header + bipartite CSR codec blob
+//	<dir>/fence                 epoch fence (failover term and ownership)
+//
+// Each artifact has exactly one on-disk format, and recovery reads exactly
+// what this package writes: a WAL segment without the "EFDWAL2\0" magic, a
+// snapshot of any format but 3, or a fence of any format but 1 is refused
+// by its decoder with an error naming the file and its format — never
+// guessed at (a refused snapshot then counts as unreadable; see Recovery).
+// The one tolerated deviation is a crash artifact: an empty segment, or a
+// final segment holding a strict prefix of the magic (a torn header write).
 //
 // Each WAL record carries the graph version its batch committed as. The
 // stream graph tees every adding batch into the log (stream.Journal) before
@@ -150,8 +159,8 @@ type RecoveryStats struct {
 	// ReplayedTombstones counts the tombstone records among ReplayedRecords
 	// — retire passes reproduced as exact deletions.
 	ReplayedTombstones int `json:"replayed_tombstones"`
-	// WindowMark is the expiry watermark adopted from the snapshot (zero for
-	// format-1 snapshots and fresh directories).
+	// WindowMark is the expiry watermark recovery ends at: the snapshot's,
+	// advanced by replayed tombstones (zero in a fresh directory).
 	WindowMark stream.WindowMark `json:"window_mark"`
 	// SkippedRecords counts WAL records at or below the snapshot watermark,
 	// already covered by the snapshot.

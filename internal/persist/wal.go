@@ -17,44 +17,26 @@ import (
 
 // WAL on-disk layout, little-endian.
 //
-// Format v2 segments open with an 8-byte magic ("EFDWAL2\0"); v1 segments
-// (written before windowing) have no header and start directly with a
-// record. The scanner format-detects per segment, so a directory may mix v1
-// and v2 segments freely — recovery replays both — while every segment
-// written by this version (including compaction rewrites) is v2.
-//
-// v1 record framing:
+// Every segment opens with an 8-byte magic ("EFDWAL2\0") followed by framed
+// records. Tombstones also carry the window watermark their retire pass
+// reached, so replay restores expiry progress exactly; epoch fences carry the
+// failover term that began at their version:
 //
 //	uint32 payloadLen
 //	uint32 crc32c(payload)
 //	payload:
-//	  uint64 version   graph version the batch committed as
-//	  uint32 count     edges in the batch (pre-dedup)
-//	  count × (uint32 u, uint32 v)
-//
-// v2 record framing (same frame, payload gains a kind; tombstones also
-// carry the window watermark their retire pass reached, so replay restores
-// expiry progress exactly; epoch fences carry the failover term that began
-// at their version):
-//
-//	uint32 payloadLen
-//	uint32 crc32c(payload)
-//	payload:
-//	  uint64 version
+//	  uint64 version   graph version the record committed as
 //	  uint32 kind      1 = edge batch, 2 = tombstone, 3 = epoch fence
-//	  uint32 count     (0 for kind 3)
+//	  uint32 count     edges in the record (0 for kind 3)
 //	  [kind 2 only] uint64 watermark version, int64 watermark wall (unix ns)
 //	  [kind 3 only] uint64 epoch
 //	  count × (uint32 u, uint32 v)
 //
-// v2 segments written before failover existed simply contain no kind-3
-// records; they decode unchanged ("v2-no-epoch" compatibility).
-//
 // Segments are named seg-<16-hex-digit index>.wal; the index only orders
 // them. A segment is sealed by rotation (synced, then never written again),
-// so only the final segment can legitimately end mid-record after a crash.
-// A resumed v1 final segment is sealed immediately at open and a fresh v2
-// segment becomes active, so records of both formats never share a file.
+// so only the final segment can legitimately end mid-record after a crash —
+// or mid-magic, when the crash tore the header write of a fresh segment.
+// Any other segment without the magic is refused, never guessed at.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -62,7 +44,7 @@ var walMagic = [8]byte{'E', 'F', 'D', 'W', 'A', 'L', '2', 0}
 
 const walFrameBytes = 8 // length + checksum prefix
 
-// Record kinds of the v2 format. v1 records decode as recEdges.
+// Record kinds.
 const (
 	recEdges      = uint32(1)
 	recTombstone  = uint32(2)
@@ -76,7 +58,7 @@ type walRecord struct {
 	mark    stream.WindowMark // tombstones only
 	epoch   uint64            // epoch fences only
 	edges   []bipartite.Edge
-	size    int64 // on-disk framed size, format-dependent
+	size    int64 // on-disk framed size
 }
 
 func (r walRecord) frameSize() int64 { return r.size }
@@ -89,7 +71,6 @@ type segMeta struct {
 	minVer  uint64 // lowest record version in the segment (0 = none)
 	maxVer  uint64 // highest record version in the segment (0 = none)
 	records int
-	v1      bool // legacy headerless format
 }
 
 func (m *segMeta) note(version uint64) {
@@ -185,13 +166,6 @@ func openWAL(dir string, segBytes int64, fsync bool, logf func(string, ...any), 
 	if len(names) == 0 {
 		w.active = segMeta{index: 1, path: segPath(dir, 1)}
 	}
-	if w.active.v1 && w.active.bytes > 0 {
-		// Never append v2 records into a legacy segment: seal it as-is (its
-		// torn tail, if any, was just truncated) and start a fresh v2
-		// segment, so each file holds exactly one format.
-		w.sealed = append(w.sealed, w.active)
-		w.active = segMeta{index: w.active.index + 1, path: segPath(dir, w.active.index+1)}
-	}
 	// Resume appending into the (possibly just-truncated) final segment.
 	w.f, err = os.OpenFile(w.active.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -200,12 +174,13 @@ func openWAL(dir string, segBytes int64, fsync bool, logf func(string, ...any), 
 	return w, records, torn, nil
 }
 
-// scanSegment decodes one segment, detecting its format from the leading
-// magic. A record that is truncated, fails its checksum, or does not decode
-// marks the segment torn from that offset: in the final segment the file is
-// truncated there (crash mid-write — the batch was never acknowledged); in a
-// sealed segment it is a hard error, since dropping it would lose
-// acknowledged batches.
+// scanSegment decodes one segment. A record that is truncated, fails its
+// checksum, or does not decode marks the segment torn from that offset: in
+// the final segment the file is truncated there (crash mid-write — the batch
+// was never acknowledged); in a sealed segment it is a hard error, since
+// dropping it would lose acknowledged batches. A segment that does not open
+// with the magic is refused, unless it is empty or the final segment holds a
+// strict prefix of the magic (a torn header write, truncated as torn).
 func scanSegment(path string, last bool, logf func(string, ...any)) ([]walRecord, segMeta, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -217,28 +192,25 @@ func scanSegment(path string, last bool, logf func(string, ...any)) ([]walRecord
 		return nil, segMeta{}, false, fmt.Errorf("persist: unparseable WAL segment name %q", filepath.Base(path))
 	}
 
-	off := 0
-	decode := decodeRecordV2
-	if len(data) >= len(walMagic) && [8]byte(data[:8]) == walMagic {
-		off = len(walMagic)
-	} else {
-		// No magic: a legacy v1 segment, or a fresh/torn-at-the-header v2
-		// file. Both scan with the v1 decoder (which finds no records in the
-		// latter) and are treated as v1 — openWAL then retires a non-empty
-		// one instead of appending to it.
-		meta.v1 = true
-		decode = decodeRecordV1
-	}
-
 	var records []walRecord
-	for off < len(data) {
-		rec, n, ok := decode(data[off:])
-		if !ok {
-			break
+	off := 0
+	switch {
+	case len(data) >= len(walMagic) && [8]byte(data[:8]) == walMagic:
+		off = len(walMagic)
+		for off < len(data) {
+			rec, n, ok := decodeRecord(data[off:])
+			if !ok {
+				break
+			}
+			records = append(records, rec)
+			meta.note(rec.version)
+			off += n
 		}
-		records = append(records, rec)
-		meta.note(rec.version)
-		off += n
+	case len(data) == 0 || last && len(data) < len(walMagic) && string(data) == string(walMagic[:len(data)]):
+		// No records: empty, or a torn header write, truncated below.
+	default:
+		return nil, segMeta{}, false, fmt.Errorf(
+			"persist: WAL segment %s: unsupported format (no %q magic), refusing to guess at its records", path, walMagic[:])
 	}
 	meta.bytes = int64(off)
 	if off == len(data) {
@@ -248,7 +220,7 @@ func scanSegment(path string, last bool, logf func(string, ...any)) ([]walRecord
 		return nil, segMeta{}, false, fmt.Errorf(
 			"persist: WAL segment %s corrupt at offset %d: not the final segment, refusing to drop acknowledged records", path, off)
 	}
-	logf("persist: truncating torn WAL tail: %s at offset %d (%d bytes dropped; the interrupted batch was never acknowledged)",
+	logf("persist: truncating torn WAL tail: %s at offset %d (%d bytes dropped; the interrupted write was never acknowledged)",
 		filepath.Base(path), off, len(data)-off)
 	//ensemfdet:durability-ok cuts only the torn tail past the last acknowledged record
 	if err := os.Truncate(path, int64(off)); err != nil {
@@ -257,34 +229,10 @@ func scanSegment(path string, last bool, logf func(string, ...any)) ([]walRecord
 	return records, meta, true, nil
 }
 
-// decodeRecordV1 parses one legacy framed record (edge batches only) from
-// the head of data, reporting its total size. ok is false for a torn,
-// checksum-failing, or malformed record.
-func decodeRecordV1(data []byte) (walRecord, int, bool) {
-	if len(data) < walFrameBytes {
-		return walRecord{}, 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	sum := binary.LittleEndian.Uint32(data[4:])
-	if n < 12 || (n-12)%8 != 0 || walFrameBytes+n > len(data) {
-		return walRecord{}, 0, false
-	}
-	payload := data[walFrameBytes : walFrameBytes+n]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return walRecord{}, 0, false
-	}
-	rec := walRecord{version: binary.LittleEndian.Uint64(payload), kind: recEdges}
-	count := int(binary.LittleEndian.Uint32(payload[8:]))
-	if 12+8*count != n || rec.version == 0 {
-		return walRecord{}, 0, false
-	}
-	rec.edges = decodeEdges(payload[12:], count)
-	rec.size = int64(walFrameBytes + n)
-	return rec, walFrameBytes + n, true
-}
-
-// decodeRecordV2 parses one v2 framed record (edge batch or tombstone).
-func decodeRecordV2(data []byte) (walRecord, int, bool) {
+// decodeRecord parses one framed record from the head of data, reporting
+// its total size. ok is false for a torn, checksum-failing, or malformed
+// record.
+func decodeRecord(data []byte) (walRecord, int, bool) {
 	if len(data) < walFrameBytes {
 		return walRecord{}, 0, false
 	}
@@ -341,7 +289,7 @@ func decodeEdges(data []byte, count int) []bipartite.Edge {
 	return edges
 }
 
-// encodeRecord frames one v2 record into buf (grown as needed), returning
+// encodeRecord frames one record into buf (grown as needed), returning
 // the framed bytes. Tombstones carry the watermark, and epoch fences the
 // epoch, after the version/kind prefix.
 func encodeRecord(buf *[]byte, r walRecord) []byte {
@@ -544,8 +492,7 @@ func (w *wal) truncateTo(version uint64) error {
 // is crash-safe: the survivors are written to a .tmp sibling, synced, and
 // renamed over the original — a crash leaves either the whole old segment or
 // the compacted one, both of which scan cleanly and replay identically
-// (covered records are skipped by replay anyway). The output is always
-// format v2, which is how legacy v1 segments age out of a mixed directory.
+// (covered records are skipped by replay anyway).
 func (w *wal) compactSegmentLocked(seg *segMeta, version uint64) error {
 	recs, _, _, err := scanSegment(seg.path, false, w.logf)
 	if err != nil {

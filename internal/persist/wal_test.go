@@ -101,7 +101,7 @@ func lastRecordRange(t *testing.T, data []byte) (start, end int) {
 		off = len(walMagic)
 	}
 	for off < len(data) {
-		_, n, ok := decodeRecordV2(data[off:])
+		_, n, ok := decodeRecord(data[off:])
 		if !ok {
 			t.Fatalf("pristine WAL does not decode at offset %d", off)
 		}
@@ -266,4 +266,104 @@ func TestTruncateToleratesMissingSegment(t *testing.T) {
 	if segs < 1 {
 		t.Fatalf("diskStats inconsistent after tolerant truncation: %d segments", segs)
 	}
+}
+
+// TestWALRefusesSegmentsWithoutMagic pins the one-format contract of the
+// segment scanner: a segment that does not open with the magic is refused
+// and left byte-for-byte intact — never decoded as some other framing and
+// truncated — unless it is the final segment and holds a strict prefix of
+// the magic, the signature of a crash mid header write, which is truncated
+// as torn and stays appendable.
+func TestWALRefusesSegmentsWithoutMagic(t *testing.T) {
+	// acked writes a WAL of five acknowledged records, rotating every two
+	// records, and returns the directory and its segment paths in order.
+	acked := func(t *testing.T) (string, []string) {
+		dir := t.TempDir()
+		w, _, _, err := openWAL(dir, 100, true, testLogf(t), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := uint64(1); v <= 5; v++ {
+			if _, err := w.append(walRecord{kind: recEdges, version: v, edges: edgesN(int(v)*10, 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+		if err != nil || len(segs) < 2 {
+			t.Fatalf("setup wants several segments, got %v (%v)", segs, err)
+		}
+		return dir, segs
+	}
+	refused := func(t *testing.T, dir, path string, content []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := openWAL(dir, 100, true, testLogf(t), nil)
+		if err == nil || !strings.Contains(err.Error(), "unsupported format") || !strings.Contains(err.Error(), filepath.Base(path)) {
+			t.Fatalf("err = %v, want an unsupported-format refusal naming %s", err, filepath.Base(path))
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(after) != string(content) {
+			t.Fatalf("refused segment was modified: %d -> %d bytes", len(content), len(after))
+		}
+	}
+
+	t.Run("flipped magic bit in the final segment", func(t *testing.T) {
+		dir, segs := acked(t)
+		final := segs[len(segs)-1]
+		pristine, err := os.ReadFile(final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bit := 0; bit < 8*len(walMagic); bit++ {
+			mut := append([]byte(nil), pristine...)
+			mut[bit/8] ^= 1 << (bit % 8)
+			refused(t, dir, final, mut)
+		}
+	})
+
+	t.Run("torn header in the final segment", func(t *testing.T) {
+		for k := 1; k < len(walMagic); k++ {
+			dir, segs := acked(t)
+			// A rotation created the next segment and crashed after k bytes
+			// of its header reached the disk.
+			next := segPath(dir, uint64(len(segs)+1))
+			if err := os.WriteFile(next, walMagic[:k], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, recs, torn, err := openWAL(dir, 100, true, testLogf(t), nil)
+			if err != nil || !torn || len(recs) != 5 {
+				t.Fatalf("k=%d: recs=%d torn=%v err=%v, want the 5 acknowledged records and a torn tail", k, len(recs), torn, err)
+			}
+			if w.active.path != next || w.active.records != 0 || w.active.bytes != 0 {
+				t.Fatalf("k=%d: active segment %+v, want the torn one, emptied", k, w.active)
+			}
+			if _, err := w.append(walRecord{kind: recEdges, version: 6, edges: edgesN(60, 2)}); err != nil {
+				t.Fatalf("k=%d: append after torn header: %v", k, err)
+			}
+			if err := w.close(); err != nil {
+				t.Fatal(err)
+			}
+			_, recs, torn, err = openWAL(dir, 100, true, testLogf(t), nil)
+			if err != nil || torn || len(recs) != 6 || recs[5].version != 6 {
+				t.Fatalf("k=%d: reopen: recs=%d torn=%v err=%v, want 6 records ending at version 6", k, len(recs), torn, err)
+			}
+		}
+	})
+
+	t.Run("sealed segment without magic", func(t *testing.T) {
+		dir, segs := acked(t)
+		data, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(t, dir, segs[0], data[len(walMagic):]) // the records, headerless
+	})
 }

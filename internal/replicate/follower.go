@@ -442,7 +442,7 @@ func (f *Follower) tailOnce(ctx context.Context) (int, error) {
 	return http.StatusOK, nil
 }
 
-// applyFrames decodes a tail body (concatenated v2 frames, version-sorted)
+// applyFrames decodes a tail body (concatenated WAL frames, version-sorted)
 // and applies each record exactly as boot-time recovery would: journal
 // first when a store is attached, then the version-exact replay primitives.
 // Records at or below the current version (overlap after a resume or
@@ -921,7 +921,7 @@ func downloadAttempt(ctx context.Context, client *http.Client, base, dataDir str
 		}
 	}
 	for i, seg := range m.Segments {
-		exact := i < len(m.Segments)-1 || seg.Legacy // only the final (active) segment may grow
+		exact := i < len(m.Segments)-1 // only the final (active) segment may grow
 		if err := fetch("segment", seg.Name, filepath.Join(dataDir, "wal", seg.Name), seg.Bytes, exact); err != nil {
 			return err
 		}

@@ -8,7 +8,7 @@
 //	GET /v1/repl/manifest         newest snapshot + segment listing (JSON)
 //	GET /v1/repl/snapshot/{name}  one snapshot file, verbatim
 //	GET /v1/repl/segment/{name}   one WAL segment, verbatim (acknowledged bytes only)
-//	GET /v1/repl/tail?from=V      long-poll stream of v2-framed records with version > V
+//	GET /v1/repl/tail?from=V      long-poll stream of WAL-framed records with version > V
 //
 // The follower side boots read-only against a primary URL: it recovers from
 // its local data directory when one holds state, bootstraps by downloading
