@@ -180,6 +180,49 @@ func BenchmarkPeelOnce(b *testing.B) {
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
+// BenchmarkPeelSamples peels the subgraphs of one detect-cold request — the
+// 80 RES S=0.1 samples of Dataset #1 @0.02 that core.Run draws for seed 1 —
+// with the parent's frozen merchant weights, exactly as each ensemble worker
+// does. That shape is many small multi-round peels, unlike BenchmarkPeelOnce's
+// few large rounds on the whole bench graph. Sampling happens before the
+// timer starts, so ns/op is peel time alone; rounds/op is constant for the
+// fixed samples and must not move across a peeler change that keeps votes.
+func BenchmarkPeelSamples(b *testing.B) {
+	ds, err := datagen.GeneratePreset(datagen.Dataset1, 0.02, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ds.Graph
+	parentW := density.Default().MerchantWeights(g)
+	type sample struct {
+		g       *bipartite.Graph
+		weights []float64
+	}
+	const n, seed = 80, 1
+	samples := make([]sample, n)
+	for i := range samples {
+		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(i)*2_654_435_761 + 1))
+		sg := (sampling.RandomEdge{}).Sample(g, 0.1, rng)
+		w := make([]float64, sg.NumMerchants())
+		for lv := range w {
+			w[lv] = parentW[sg.ParentMerchant(uint32(lv))]
+		}
+		samples[i] = sample{g: sg.Graph, weights: w}
+	}
+	det := fdet.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		for _, s := range samples {
+			res := det.Detect(s.g, fdet.Options{MerchantWeights: s.weights})
+			rounds += len(res.Scores)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}
+
 // BenchmarkEnsembleN80 is the paper's main setting (RES, N=80, S=0.1) and
 // the PR-over-PR allocation regression guard: the ensemble hot path is meant
 // to be allocation-free after arena warm-up, so allocs/op here must stay

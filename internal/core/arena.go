@@ -10,10 +10,10 @@ import (
 
 // Arena is the scratch state of one ensemble worker: the sampler's index
 // buffers and subgraph-build arena, the FDET peeler state, the per-sample
-// merchant-weight buffer, the per-sample vote dedup stamps, and the
-// worker-local vote accumulators. A worker claims one arena, processes many
-// samples with it, and allocates nothing after the first few samples warm
-// the buffers.
+// merchant-weight buffer, the per-sample vote dedup stamps and voted-node
+// lists, and the worker-local vote accumulators. A worker claims one arena,
+// processes many samples with it, and allocates nothing after the first few
+// samples warm the buffers.
 //
 // Arenas hold scratch only — nothing in an arena influences detection
 // results, which stay byte-identical for a fixed Config.Seed no matter how
@@ -24,6 +24,9 @@ type Arena struct {
 	weights []float64
 	seenU   scratch.Stamps // per-sample vote dedup: a node votes once per sample
 	seenV   scratch.Stamps
+	// Per-sample voted-node lists of a recording run, built here and copied
+	// into the record at final length.
+	votedU, votedM []uint32
 	// Worker-local vote accumulators in the parent id space; merged into
 	// the output under one lock per worker instead of one per sample.
 	userVotes  []int

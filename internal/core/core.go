@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -400,7 +401,7 @@ func (env *runEnv) execute(indices []int) error {
 		a.seenU.Reset(sg.NumUsers())
 		a.seenV.Reset(sg.NumMerchants())
 		if rec != nil {
-			var vu, vm []uint32
+			vu, vm := a.votedU[:0], a.votedM[:0]
 			for _, blk := range res.Blocks {
 				for _, lu := range blk.Users {
 					if a.seenU.TryAdd(int(lu)) {
@@ -413,7 +414,10 @@ func (env *runEnv) execute(indices []int) error {
 					}
 				}
 			}
-			rec.votedU[i], rec.votedM[i] = vu, vm
+			a.votedU, a.votedM = vu, vm
+			// The record outlives the run, so each list is copied out of
+			// the arena once, at its final length.
+			rec.votedU[i], rec.votedM[i] = slices.Clone(vu), slices.Clone(vm)
 			rec.khats[i] = res.TruncatedAt
 		} else {
 			for _, blk := range res.Blocks {

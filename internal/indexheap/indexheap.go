@@ -1,46 +1,79 @@
 // Package indexheap provides an indexed min-heap over the node ids of a
-// graph, supporting O(log n) decrease/increase-key by id. It is the
-// "minimal heap" the paper relies on for FDET's O(kˆ|E| log(|U|+|V|)) bound
-// (§IV-B): greedy peeling repeatedly pops the minimum-priority node and
-// lowers the priorities of its neighbours.
+// graph, supporting O(log n) priority changes by id. It is the "minimal
+// heap" the paper relies on for FDET's O(kˆ|E| log(|U|+|V|)) bound (§IV-B):
+// greedy peeling repeatedly pops the minimum-priority node and lowers the
+// priorities of its neighbours.
 //
-// The heap is 4-ary with (priority, id) stored inline in the heap slots: a
-// sift compares against up to four children that share one or two cache
-// lines, and never chases a pos/prio indirection per comparison the way the
-// classic ids[]+prio[] layout does. Sifts move slots hole-style (one write
-// per level instead of a swap's two). Ties are broken toward the lower id,
-// making the pop sequence a total order on (priority, id) — the property
-// the FDET peeler's determinism contract is built on.
+// Order. Pops follow the total order on (priority, id): minimum priority
+// first, ties to the lower id. Every operation keeps the heap invariant
+// under that strict order, and ids are distinct, so the pop sequence is the
+// sorted sequence of the live (priority, id) pairs whatever the internal
+// layout — the property the FDET peeler's byte-identical votes rest on.
+//
+// Keys. A slot stores an order-preserving uint64 encoding of its float64
+// priority next to its id (see encode): −0 is folded onto +0, then negative
+// floats have all bits flipped and the rest get the sign bit set, so
+// unsigned key order is float order on every non-NaN value, ±Inf and
+// subnormals included. A compare of (key, id) is then one 128-bit unsigned
+// compare, two SUB/SBB instructions whose borrow is the result — no branch.
+// The key decodes back to the exact priority (−0 comes back as +0).
+//
+// Shape. The heap is 4-ary, so the four children of a slot share one cache
+// line. The min child is picked by index arithmetic on three compare bits,
+// without branches. Pop is bottom-up: it walks the root's hole down to a
+// leaf along min children without comparing against the displaced last
+// slot, then sifts that slot up from the leaf, where it usually stays — it
+// came from the bottom. Sifts move slots hole-style, one write per level.
 package indexheap
 
-// slot is one heap entry. Keeping the priority next to the id means a
-// comparison touches only the heap array.
+import (
+	"math"
+	"math/bits"
+)
+
+// slot is one heap entry. Keeping the key next to the id means a comparison
+// touches only the heap array.
 type slot struct {
-	prio float64
-	id   int32
+	key uint64 // encode(priority)
+	id  uint32
 }
 
 // Heap is an indexed min-heap of float64 priorities keyed by dense int ids in
-// [0, capacity). Construct with New, or Reset a zero value.
+// [0, capacity). The zero value is ready for Reset.
 type Heap struct {
 	slots []slot
 	pos   []int32 // pos[id] = index in slots, or -1 if absent
-	count int
 }
 
 const absent = int32(-1)
 
-// New returns a heap able to hold ids in [0, capacity).
-func New(capacity int) *Heap {
-	h := &Heap{}
-	h.Reset(capacity)
-	return h
+// encode maps a non-NaN priority to a key whose unsigned order is the
+// float order, with −0 and +0 mapping to the same key.
+func encode(p float64) uint64 {
+	b := math.Float64bits(p)
+	if b == 1<<63 { // −0
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// decode inverts encode.
+func decode(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// lessBit is 1 when a orders before b by (key, id), else 0: the borrow out
+// of the 128-bit subtraction (a.key:a.id) − (b.key:b.id).
+func lessBit(a, b slot) int {
+	_, borrow := bits.Sub64(uint64(a.id), uint64(b.id), 0)
+	_, borrow = bits.Sub64(a.key, b.key, borrow)
+	return int(borrow)
 }
 
 // Reset empties the heap and prepares it for ids in [0, capacity), growing
 // storage only when the capacity exceeds anything seen before. It costs
-// O(capacity) — the same as New — but allocates nothing once warm, which is
-// what lets a peeler run round after round without heap churn.
+// O(capacity) but allocates nothing once warm, which is what lets a peeler
+// run round after round without heap churn.
 func (h *Heap) Reset(capacity int) {
 	if cap(h.pos) < capacity {
 		h.pos = make([]int32, capacity)
@@ -48,200 +81,124 @@ func (h *Heap) Reset(capacity int) {
 	}
 	h.pos = h.pos[:capacity]
 	h.slots = h.slots[:0]
-	h.count = 0
 	for i := range h.pos {
 		h.pos[i] = absent
 	}
 }
 
 // Len returns the number of ids currently in the heap.
-func (h *Heap) Len() int { return h.count }
+func (h *Heap) Len() int { return len(h.slots) }
 
-// Contains reports whether id is in the heap.
-func (h *Heap) Contains(id int) bool { return h.pos[id] != absent }
-
-// Priority returns the current priority of id. It must be in the heap.
-func (h *Heap) Priority(id int) float64 { return h.slots[h.pos[id]].prio }
-
-// Push inserts id with the given priority. It panics if id is already
-// present; use Update to change an existing priority.
-func (h *Heap) Push(id int, priority float64) {
-	h.PushUnordered(id, priority)
-	h.up(h.count - 1)
-}
-
-// PushUnordered appends id without restoring heap order. It exists for bulk
-// builds: n PushUnordered calls followed by one Heapify cost O(n) instead of
-// the O(n log n) of n ordered Pushes. The heap must not be read between the
-// first PushUnordered and the Heapify.
+// PushUnordered appends id without restoring heap order; Heapify restores
+// it for the whole batch in O(n). The heap must not be popped or updated
+// between a PushUnordered and the next Heapify. It panics if id is already
+// present.
 func (h *Heap) PushUnordered(id int, priority float64) {
 	if h.pos[id] != absent {
 		panic("indexheap: Push of id already in heap")
 	}
-	h.pos[id] = int32(h.count)
-	h.slots = append(h.slots, slot{prio: priority, id: int32(id)})
-	h.count++
+	h.pos[id] = int32(len(h.slots))
+	h.slots = append(h.slots, slot{key: encode(priority), id: uint32(id)})
 }
 
-// Heapify restores heap order after a bulk of PushUnordered calls using
-// Floyd's bottom-up construction. The resulting pop sequence is identical to
-// that of ordered Pushes: pops follow the (priority, id) total order, which
-// does not depend on the heap's internal layout.
+// Heapify restores heap order after PushUnordered calls using Floyd's
+// bottom-up construction.
 func (h *Heap) Heapify() {
-	for i := (h.count - 2) >> 2; i >= 0; i-- {
-		h.down(i)
+	for i := (len(h.slots) - 2) >> 2; i >= 0; i-- {
+		h.down(i, h.slots[i])
 	}
 }
 
 // Pop removes and returns the id with minimum priority and that priority.
 // Ties are broken toward the lower id. It panics on an empty heap.
 func (h *Heap) Pop() (id int, priority float64) {
-	if h.count == 0 {
+	if len(h.slots) == 0 {
 		panic("indexheap: Pop from empty heap")
 	}
 	top := h.slots[0]
-	h.count--
-	last := h.slots[h.count]
-	h.slots = h.slots[:h.count]
+	n := len(h.slots) - 1
+	last := h.slots[n]
+	h.slots = h.slots[:n]
 	h.pos[top.id] = absent
-	if h.count > 0 {
-		h.slots[0] = last
-		h.pos[last.id] = 0
-		h.down(0)
+	if n > 0 {
+		h.up(h.descend(0), 0, last)
 	}
-	return int(top.id), top.prio
+	return int(top.id), decode(top.key)
 }
 
-// Peek returns the minimum id and priority without removing it.
-func (h *Heap) Peek() (id int, priority float64) {
-	if h.count == 0 {
-		panic("indexheap: Peek of empty heap")
-	}
-	return int(h.slots[0].id), h.slots[0].prio
-}
-
-// Update changes the priority of id, restoring heap order in O(log n).
-// It panics if id is not in the heap.
-func (h *Heap) Update(id int, priority float64) {
-	i := h.pos[id]
-	if i == absent {
-		panic("indexheap: Update of id not in heap")
-	}
-	old := h.slots[i].prio
-	h.slots[i].prio = priority
-	switch {
-	case priority < old:
-		h.up(int(i))
-	case priority > old:
-		h.down(int(i))
-	}
-}
-
-// Add increments the priority of id by delta (delta may be negative). It
-// panics if id is not in the heap.
-func (h *Heap) Add(id int, delta float64) {
-	i := h.pos[id]
-	if i == absent {
-		panic("indexheap: Add of id not in heap")
-	}
-	h.addAt(int(i), delta)
-}
-
-// AddIfPresent increments the priority of id by delta when id is in the
-// heap, fusing the peeler's Contains+Add pair into a single pos lookup. It
-// reports whether id was present.
+// AddIfPresent increments the priority of id by delta (delta may be
+// negative) when id is in the heap, and reports whether it was. A zero delta
+// leaves the key as it is.
 func (h *Heap) AddIfPresent(id int, delta float64) bool {
 	i := h.pos[id]
 	if i == absent {
 		return false
 	}
-	h.addAt(int(i), delta)
+	x := h.slots[i]
+	x.key = encode(decode(x.key) + delta)
+	switch {
+	case delta < 0:
+		h.up(int(i), 0, x)
+	case delta > 0:
+		h.down(int(i), x)
+	}
 	return true
 }
 
-func (h *Heap) addAt(i int, delta float64) {
-	h.slots[i].prio += delta
-	switch {
-	case delta < 0:
-		h.up(i)
-	case delta > 0:
-		h.down(i)
-	}
+// down places x at the hole i and restores order below it, bottom-up.
+func (h *Heap) down(i int, x slot) {
+	h.up(h.descend(i), i, x)
 }
 
-// Remove deletes id from the heap regardless of its position.
-func (h *Heap) Remove(id int) {
-	i := int(h.pos[id])
-	if i == int(absent) {
-		panic("indexheap: Remove of id not in heap")
+// minTail returns the index of the least slot in s[c:], the partial last
+// group of children.
+func minTail(s []slot, c int) int {
+	m := c
+	for j := c + 1; j < len(s); j++ {
+		m += (j - m) * lessBit(s[j], s[m])
 	}
-	h.count--
-	last := h.slots[h.count]
-	h.slots = h.slots[:h.count]
-	h.pos[id] = absent
-	if i < h.count {
-		h.slots[i] = last
-		h.pos[last.id] = int32(i)
-		h.down(i)
-		h.up(i)
-	}
+	return m
 }
 
-// less orders slots by (priority, id); the id tie-break keeps peeling
-// deterministic across runs and across queue implementations.
-func less(a, b slot) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
+// descend moves the hole at i down to a leaf, filling each hole with its
+// least child, and returns the leaf index. It makes no compare against the
+// slot that will fill the final hole; up does that from the bottom.
+func (h *Heap) descend(i int) int {
+	s := h.slots
+	c := i<<2 + 1
+	for c+4 <= len(s) {
+		// Min of four by index arithmetic: a is the lesser of the first
+		// pair, b of the second, and the last bit picks between them.
+		q := s[c : c+4 : c+4]
+		a := lessBit(q[1], q[0])
+		b := 2 + lessBit(q[3], q[2])
+		m := c + a + (b-a)*lessBit(q[b], q[a])
+		s[i] = s[m]
+		h.pos[s[i].id] = int32(i)
+		i, c = m, m<<2+1
 	}
-	return a.id < b.id
+	if c < len(s) {
+		m := minTail(s, c)
+		s[i] = s[m]
+		h.pos[s[i].id] = int32(i)
+		i = m
+	}
+	return i
 }
 
-// up sifts the slot at i toward the root, hole-style: the moving slot is
-// held in a register while parents shift down, costing one slot write and
-// one pos write per level.
-func (h *Heap) up(i int) {
-	s := h.slots[i]
-	for i > 0 {
+// up places x at the hole i and sifts it toward the root, stopping at top.
+func (h *Heap) up(i, top int, x slot) {
+	s := h.slots
+	for i > top {
 		parent := (i - 1) >> 2
-		ps := h.slots[parent]
-		if !less(s, ps) {
+		ps := s[parent]
+		if lessBit(x, ps) == 0 {
 			break
 		}
-		h.slots[i] = ps
+		s[i] = ps
 		h.pos[ps.id] = int32(i)
 		i = parent
 	}
-	h.slots[i] = s
-	h.pos[s.id] = int32(i)
-}
-
-// down sifts the slot at i toward the leaves. The four children occupy
-// adjacent slots, so the min-child scan is a sequential read.
-func (h *Heap) down(i int) {
-	s := h.slots[i]
-	n := h.count
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m, ms := c, h.slots[c]
-		for j := c + 1; j < end; j++ {
-			if js := h.slots[j]; less(js, ms) {
-				m, ms = j, js
-			}
-		}
-		if !less(ms, s) {
-			break
-		}
-		h.slots[i] = ms
-		h.pos[ms.id] = int32(i)
-		i = m
-	}
-	h.slots[i] = s
-	h.pos[s.id] = int32(i)
+	s[i] = x
+	h.pos[x.id] = int32(i)
 }

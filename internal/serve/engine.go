@@ -227,8 +227,10 @@ type entry struct {
 	// out retains the full recorded output while this entry is the newest
 	// completed one for its fingerprint — the incremental base. It is
 	// released (set nil under the engine lock) when a newer version
-	// completes. Only out.Votes and out.Rec remain valid after the run: the
-	// scratch-backed per-sample arrays are recycled into later runs.
+	// completes, and that frees the output and its reuse record: votes is a
+	// separate copy of out.Votes' header, not a pointer into out. Only
+	// out.Votes and out.Rec remain valid after the run: the scratch-backed
+	// per-sample arrays are recycled into later runs.
 	out *core.Output
 	// Run provenance, fixed before done closes: whether the run reused a
 	// base, and how many samples were carried over vs re-executed (a cold
@@ -602,7 +604,9 @@ func (e *Engine) run(key cacheKey, ent *entry, snap *bipartite.Graph, p Params, 
 		ent.err = err
 		return
 	}
-	ent.votes = &out.Votes
+	// A copy, not &out.Votes, so that dropping out frees it (see entry.out).
+	votes := out.Votes
+	ent.votes = &votes
 	e.runs.Add(1)
 	e.peelRounds.Add(uint64(out.PeelRounds))
 	e.publishBase(key, ent, out)
@@ -635,9 +639,10 @@ func (e *Engine) deltaWithinRatio(d stream.Delta, snap *bipartite.Graph) bool {
 }
 
 // publishBase registers a successful run as its fingerprint's incremental
-// base if it is the newest, releasing the demoted predecessor's record (its
-// votes stay servable). A stale run finishing late — older than the current
-// base — keeps nothing.
+// base if it is the newest. The demoted predecessor drops its output, which
+// lets the collector reclaim its reuse record; its votes, held apart in
+// entry.votes, stay servable. A stale run finishing late — older than the
+// current base — keeps nothing.
 func (e *Engine) publishBase(key cacheKey, ent *entry, out *core.Output) {
 	if out.Rec == nil {
 		return

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"weak"
 
 	"ensemfdet/internal/bipartite"
 )
@@ -311,4 +313,47 @@ func TestDetectHTTPReportsIncrementalFields(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestDemotedEntryReleasesRecord pins that a cache entry demoted from
+// incremental base keeps its votes servable but no longer retains the run's
+// reuse record: the record is the bulk of a recorded output, and a full
+// cache of demoted entries holding theirs would grow the daemon's memory
+// with every completed detect.
+func TestDemotedEntryReleasesRecord(t *testing.T) {
+	g := seedStream(t)
+	e := NewEngine(g, Options{})
+	ctx := context.Background()
+	if _, err := e.Detect(ctx, onsParams(), 6); err != nil {
+		t.Fatal(err)
+	}
+	_, v1 := g.Snapshot()
+	key := cacheKey{version: v1, config: onsParams().Fingerprint()}
+	e.mu.Lock()
+	ent := e.cache[key]
+	if ent == nil || ent.out == nil || ent.out.Rec == nil {
+		e.mu.Unlock()
+		t.Fatal("cold run did not publish a recorded base")
+	}
+	rec := weak.Make(ent.out.Rec)
+	e.mu.Unlock()
+
+	g.AppendEdge(5000, 3)
+	if _, err := e.Detect(ctx, onsParams(), 6); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	demoted := e.cache[key]
+	e.mu.Unlock()
+	if demoted != ent || ent.out != nil || ent.votes == nil {
+		t.Fatal("the newer run did not demote the first entry to votes only")
+	}
+	runtime.GC()
+	if rec.Value() != nil {
+		t.Error("demoted cache entry still retains its reuse record")
+	}
+	if ent.votes.NumSamples != onsParams().NumSamples {
+		t.Errorf("demoted entry serves votes of %d samples, want %d", ent.votes.NumSamples, onsParams().NumSamples)
+	}
+	runtime.KeepAlive(e) // the cache, not only this test, holds the entry
 }
