@@ -27,7 +27,9 @@ import (
 	"ensemfdet/internal/fraudar"
 	"ensemfdet/internal/linalg"
 	"ensemfdet/internal/sampling"
+	"ensemfdet/internal/serve"
 	"ensemfdet/internal/spectral"
+	"ensemfdet/internal/stream"
 )
 
 // benchScale mirrors experiments.Quick but with a fixed seed distinct from
@@ -331,14 +333,14 @@ func benchEdgePool(n int) []bipartite.Edge {
 func BenchmarkStreamIngest(b *testing.B) {
 	const batch = 1024
 	pool := benchEdgePool(1 << 18)
-	sg := ensemfdet.NewStreamGraph()
+	sg := stream.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := (i * batch) % (len(pool) - batch)
 		if i > 0 && off == 0 {
 			// Pool exhausted: restart on a fresh graph outside the metric's
 			// meaning (still timed; amortized away for large b.N).
-			sg = ensemfdet.NewStreamGraph()
+			sg = stream.New()
 		}
 		sg.Append(pool[off : off+batch])
 	}
@@ -349,7 +351,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 // BenchmarkStreamSnapshot measures the copy-on-snapshot CSR build that a
 // cold detection pays after each ingest batch.
 func BenchmarkStreamSnapshot(b *testing.B) {
-	sg := ensemfdet.NewStreamGraph()
+	sg := stream.New()
 	sg.Append(benchEdgePool(1 << 17))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -374,7 +376,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 	)
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sg := ensemfdet.NewStreamGraphSharded(shards)
+			sg := stream.NewSharded(shards)
 			var next atomic.Int64
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -418,7 +420,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 func BenchmarkSnapshotDelta(b *testing.B) {
 	for _, size := range []int{1 << 15, 1 << 17} {
 		b.Run(fmt.Sprintf("E=%d", size), func(b *testing.B) {
-			sg := ensemfdet.NewStreamGraphSharded(8)
+			sg := stream.NewSharded(8)
 			sg.Append(benchEdgePool(size))
 			sg.Snapshot() // pay the initial full build outside the loop
 			const delta = 64
@@ -462,8 +464,8 @@ func BenchmarkWindowedChurn(b *testing.B) {
 		retireEvery  = 16
 		idSpaceUsers = 1 << 20
 	)
-	sg := ensemfdet.NewStreamGraphSharded(8)
-	sg.SetWindow(ensemfdet.WindowPolicy{MaxEdges: windowEdges})
+	sg := stream.NewSharded(8)
+	sg.SetWindow(stream.WindowPolicy{MaxEdges: windowEdges})
 	buf := make([]bipartite.Edge, batch)
 	seq := uint64(0)
 	fill := func() {
@@ -506,12 +508,12 @@ func BenchmarkWindowedChurn(b *testing.B) {
 }
 
 // benchEngine returns a detect engine over an ingested bench-scale graph.
-func benchEngine(b *testing.B) *ensemfdet.DetectEngine {
+func benchEngine(b *testing.B) *serve.Engine {
 	b.Helper()
 	g := benchGraph(b)
-	sg := ensemfdet.NewStreamGraph()
+	sg := stream.New()
 	sg.Append(g.EdgeList())
-	return ensemfdet.NewDetectEngine(sg, ensemfdet.EngineOptions{})
+	return serve.NewEngine(sg, serve.Options{})
 }
 
 // BenchmarkDetectCold measures a cache-miss detection: every iteration uses
@@ -522,7 +524,7 @@ func BenchmarkDetectCold(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := ensemfdet.DetectParams{NumSamples: 16, SampleRatio: 0.1, Seed: int64(i + 1)}
+		p := serve.Params{NumSamples: 16, SampleRatio: 0.1, Seed: int64(i + 1)}
 		if _, err := e.Detect(ctx, p, 8); err != nil {
 			b.Fatal(err)
 		}
@@ -565,17 +567,17 @@ func BenchmarkDetectIncremental(b *testing.B) {
 		}
 		for _, mode := range []struct {
 			name string
-			opts ensemfdet.EngineOptions
+			opts serve.Options
 		}{
-			{"incremental", ensemfdet.EngineOptions{}},
-			{"cold", ensemfdet.EngineOptions{IncrementalMaxDeltaRatio: -1}},
+			{"incremental", serve.Options{}},
+			{"cold", serve.Options{IncrementalMaxDeltaRatio: -1}},
 		} {
 			b.Run(d.name+"/"+mode.name, func(b *testing.B) {
-				sg := ensemfdet.NewStreamGraph()
+				sg := stream.New()
 				sg.Append(base.EdgeList())
-				e := ensemfdet.NewDetectEngine(sg, mode.opts)
+				e := serve.NewEngine(sg, mode.opts)
 				ctx := context.Background()
-				p := ensemfdet.DetectParams{Sampler: "ONS-merchant", NumSamples: 80, SampleRatio: 0.1, Seed: 1}
+				p := serve.Params{Sampler: "ONS-merchant", NumSamples: 80, SampleRatio: 0.1, Seed: 1}
 				if _, err := e.Detect(ctx, p, 40); err != nil { // warm the base
 					b.Fatal(err)
 				}
@@ -612,7 +614,7 @@ func BenchmarkDetectIncremental(b *testing.B) {
 func BenchmarkDetectCached(b *testing.B) {
 	e := benchEngine(b)
 	ctx := context.Background()
-	p := ensemfdet.DetectParams{NumSamples: 16, SampleRatio: 0.1, Seed: 1}
+	p := serve.Params{NumSamples: 16, SampleRatio: 0.1, Seed: 1}
 	if _, err := e.Detect(ctx, p, 8); err != nil { // warm the cache
 		b.Fatal(err)
 	}

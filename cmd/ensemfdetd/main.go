@@ -94,7 +94,11 @@ import (
 	"syscall"
 	"time"
 
-	"ensemfdet"
+	"ensemfdet/internal/bipartite"
+	"ensemfdet/internal/persist"
+	"ensemfdet/internal/replicate"
+	"ensemfdet/internal/serve"
+	"ensemfdet/internal/stream"
 )
 
 // buildVersion is stamped at link time via
@@ -148,13 +152,16 @@ func run() error {
 		fmt.Println("ensemfdetd", versionString())
 		return nil
 	}
-	if *maxNode > ensemfdet.MaxNodeID {
-		return fmt.Errorf("-max-node-id %d exceeds the id space (max %d)", *maxNode, uint64(ensemfdet.MaxNodeID))
+	if *maxNode > bipartite.MaxNodeID {
+		return fmt.Errorf("-max-node-id %d exceeds the id space (max %d)", *maxNode, uint64(bipartite.MaxNodeID))
 	}
-	if *shards < 0 || *shards > ensemfdet.MaxStreamShards {
-		return fmt.Errorf("-shards %d out of range [0,%d]", *shards, ensemfdet.MaxStreamShards)
+	if *shards < 0 || *shards > stream.MaxShards {
+		return fmt.Errorf("-shards %d out of range [0,%d]", *shards, stream.MaxShards)
 	}
-	fsyncPolicy, err := ensemfdet.ParseFsyncPolicy(*fsync)
+	if *ingestQ < 0 {
+		return fmt.Errorf("-ingest-queue must be non-negative, got %d", *ingestQ)
+	}
+	fsyncPolicy, err := persist.ParseFsyncPolicy(*fsync)
 	if err != nil {
 		return err
 	}
@@ -164,7 +171,7 @@ func run() error {
 	if *winAge < 0 || *winEdges < 0 {
 		return fmt.Errorf("-window-age and -window-max-edges must be non-negative")
 	}
-	window := ensemfdet.WindowPolicy{MaxAge: *winAge, MaxVersions: *winVers, MaxEdges: *winEdges}
+	window := stream.WindowPolicy{MaxAge: *winAge, MaxVersions: *winVers, MaxEdges: *winEdges}
 	if window.Enabled() && *retireEv <= 0 {
 		return fmt.Errorf("-retire-every must be positive with a window set, got %v", *retireEv)
 	}
@@ -190,7 +197,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	sg := ensemfdet.NewStreamGraphSharded(*shards)
+	sg := stream.NewSharded(*shards)
 	log.Printf("ingest sharding: %d shards", sg.NumShards())
 	if window.Enabled() {
 		// Install the policy before recovery: recovery replays explicit
@@ -201,20 +208,20 @@ func run() error {
 			*winAge, *winVers, *winEdges, *retireEv)
 	}
 
-	var store *ensemfdet.PersistStore
+	var store *persist.Store
 	if *dataDir != "" {
-		if *follow != "" && ensemfdet.ReplNeedsBootstrap(*dataDir) {
+		if *follow != "" && replicate.NeedsBootstrap(*dataDir) {
 			// No usable local state: ship the primary's snapshot + WAL into
 			// the data dir so the normal recovery below reproduces the
 			// primary's durable state version-exactly.
 			log.Printf("bootstrapping %s from %s", *dataDir, *follow)
-			if err := ensemfdet.ReplDownloadInto(ctx, nil, *follow, *dataDir, log.Printf); err != nil {
+			if err := replicate.DownloadInto(ctx, nil, *follow, *dataDir, log.Printf); err != nil {
 				return err
 			}
 		}
 		// Recover before installing the journal, so replayed batches are
 		// not re-appended to the log they came from.
-		store, err = ensemfdet.OpenPersist(*dataDir, ensemfdet.PersistOptions{
+		store, err = persist.Open(*dataDir, persist.Options{
 			Fsync:         fsyncPolicy,
 			SnapshotBytes: *snapEvry,
 		})
@@ -236,10 +243,7 @@ func run() error {
 		store.SetSource(sg)
 	}
 
-	if *ingestQ < 0 {
-		return fmt.Errorf("-ingest-queue must be non-negative, got %d", *ingestQ)
-	}
-	engine := ensemfdet.NewDetectEngine(sg, ensemfdet.EngineOptions{
+	engine := serve.NewEngine(sg, serve.Options{
 		MaxConcurrent:            *maxConc,
 		MaxCacheEntries:          *cacheCap,
 		MaxNodeID:                uint32(*maxNode),
@@ -250,10 +254,10 @@ func run() error {
 		engine.AttachPersist(store)
 	}
 
-	hcfg := ensemfdet.HTTPHandlerConfig{Version: versionString()}
+	hcfg := serve.HandlerConfig{Version: versionString()}
 	var (
-		follower *ensemfdet.ReplFollower // memory-only follower: plain tailer
-		node     *ensemfdet.ReplNode     // durable follower: failover-capable
+		follower *replicate.Follower // memory-only follower: plain tailer
+		node     *replicate.Node     // durable follower: failover-capable
 	)
 	switch {
 	case *follow != "" && store != nil:
@@ -261,7 +265,7 @@ func run() error {
 		// promoted to primary (POST /v1/admin/promote) or re-pointed at a new
 		// one (POST /v1/admin/follow) without a restart. The read-only guard,
 		// readiness, and the replication surface all track the live role.
-		node, err = ensemfdet.NewReplNode(ensemfdet.ReplNodeConfig{
+		node, err = replicate.NewNode(replicate.NodeConfig{
 			Store:      store,
 			Graph:      sg,
 			MaxLag:     *readyLag,
@@ -282,18 +286,19 @@ func run() error {
 		} else if err := node.Follow(ctx, *follow); err != nil {
 			return err
 		}
-		hcfg.ReadOnlyFn = func() bool { return node.Role() != "primary" }
-		hcfg.PrimaryURLFn = node.PrimaryURL
+		hcfg.ReadOnly = func() bool { return node.Role() != "primary" }
+		hcfg.PrimaryURL = node.PrimaryURL
 		hcfg.Ready = node.Ready
 		hcfg.Repl = node.ReplHandler()
 		hcfg.Admin = node.AdminHandler()
-		engine.AttachRepl(nodeReplStats(node))
+		engine.AttachRepl(node.Stats)
 	case *follow != "":
 		// Memory-only follower: nothing durable to fence, so no failover
 		// surface — just the tailer, seeded from the primary's snapshot.
-		follower, err = ensemfdet.NewReplFollower(ensemfdet.ReplFollowerConfig{
+		follower, err = replicate.NewFollower(replicate.FollowerConfig{
 			Primary:    *follow,
 			Graph:      sg,
+			MaxLag:     *readyLag,
 			FlushCache: engine.FlushCache,
 		})
 		if err != nil {
@@ -303,33 +308,10 @@ func run() error {
 			return fmt.Errorf("bootstrapping from %s: %w", *follow, err)
 		}
 		log.Printf("following %s from version %d", *follow, sg.Version())
-		hcfg.ReadOnly = true
-		hcfg.PrimaryURL = *follow
-		hcfg.Ready = func() (bool, string) { return follower.Ready(*readyLag) }
-		engine.AttachRepl(func() *ensemfdet.ReplStats {
-			fs := follower.Stats()
-			ready, _ := follower.Ready(*readyLag)
-			return &ensemfdet.ReplStats{
-				Role:              "follower",
-				Primary:           fs.Primary,
-				PrimaryVersion:    fs.PrimaryVersion,
-				AppliedVersion:    fs.AppliedVersion,
-				VersionsBehind:    fs.VersionsBehind,
-				SecondsBehind:     fs.SecondsBehind,
-				RecordsApplied:    fs.RecordsApplied,
-				TombstonesApplied: fs.TombstonesApplied,
-				Resyncs:           fs.Resyncs,
-				Reconnects:        fs.Reconnects,
-				JournalErrors:     fs.JournalErrors,
-				Ready:             ready,
-				BytesShipped:      fs.BytesShipped,
-				Epoch:             fs.Epoch,
-				EpochAdopts:       fs.EpochAdopts,
-				EpochResyncs:      fs.EpochResyncs,
-				EpochRejects:      fs.EpochRejects,
-				BackoffSeconds:    fs.BackoffSeconds,
-			}
-		})
+		hcfg.ReadOnly = func() bool { return true }
+		hcfg.PrimaryURL = func() string { return *follow }
+		hcfg.Ready = follower.Ready
+		engine.AttachRepl(follower.Stats)
 	case *srvRepl:
 		if epoch, _, owned := store.Epoch(); !owned {
 			// The data dir says a higher term exists: this process was deposed
@@ -339,26 +321,12 @@ func run() error {
 			log.Printf("WARNING: store is FENCED at epoch %d — a newer primary owns this timeline; "+
 				"ingest is rejected. Restart with -follow <new-primary> to rejoin.", epoch)
 		}
-		primary := ensemfdet.NewReplPrimary(ensemfdet.ReplPrimaryConfig{
+		primary := replicate.NewPrimary(replicate.PrimaryConfig{
 			Store:   store,
 			Version: sg.Version,
 		})
 		hcfg.Repl = primary.Handler()
-		engine.AttachRepl(func() *ensemfdet.ReplStats {
-			ps := primary.Stats()
-			epoch, _, owned := store.Epoch()
-			return &ensemfdet.ReplStats{
-				Role:         "primary",
-				Ready:        true,
-				BytesShipped: ps.TailBytes + ps.FileBytes,
-				TailRequests: ps.TailRequests,
-				TailRecords:  ps.TailRecords,
-				FilesShipped: ps.FilesShipped,
-				Epoch:        epoch,
-				Fenced:       !owned,
-				EpochFences:  ps.EpochFences,
-			}
-		})
+		engine.AttachRepl(primary.Stats)
 		log.Printf("serving replication under /v1/repl/")
 	}
 
@@ -370,7 +338,7 @@ func run() error {
 
 	srv := &http.Server{
 		Addr:    *addr,
-		Handler: logRequests(ensemfdet.NewHTTPHandlerWith(engine, hcfg)),
+		Handler: logRequests(serve.NewHandlerWith(engine, hcfg)),
 		// ReadTimeout bounds the whole request read so a client trickling
 		// a body cannot pin a goroutine forever; it does not limit handler
 		// execution, so long cold detections are unaffected (WriteTimeout
@@ -494,8 +462,13 @@ func run() error {
 // throwaway graph is constructed here. Only id-bound failures carry the
 // -max-node-id hint; a missing or malformed file is its own problem, and
 // suggesting a bigger id budget for it would send the operator the wrong way.
-func loadEdges(engine *ensemfdet.DetectEngine, path string) error {
-	edges, err := ensemfdet.ReadEdgesFile(path, engine.MaxNodeID())
+func loadEdges(engine *serve.Engine, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	edges, err := bipartite.ReadEdgesMax(f, engine.MaxNodeID())
 	if err == nil {
 		r, ierr := engine.Ingest(edges)
 		if ierr == nil {
@@ -504,54 +477,10 @@ func loadEdges(engine *ensemfdet.DetectEngine, path string) error {
 		}
 		err = ierr
 	}
-	if errors.Is(err, ensemfdet.ErrNodeIDRange) {
+	if errors.Is(err, bipartite.ErrIDRange) {
 		return fmt.Errorf("%w (see -max-node-id)", err)
 	}
 	return err
-}
-
-// nodeReplStats adapts the failover node's role-dependent counters to the
-// /v1/stats and /metrics shape. Promotions survive the role flip: the stats
-// of the follower half are reported while tailing, the primary half's after
-// a promote, and the epoch and promotion count in both.
-func nodeReplStats(node *ensemfdet.ReplNode) func() *ensemfdet.ReplStats {
-	return func() *ensemfdet.ReplStats {
-		ready, _ := node.Ready()
-		rs := &ensemfdet.ReplStats{
-			Role:       node.Role(),
-			Epoch:      node.Epoch(),
-			Promotions: node.Promotions(),
-			Ready:      ready,
-		}
-		if p := node.Primary(); p != nil {
-			ps := p.Stats()
-			rs.BytesShipped = ps.TailBytes + ps.FileBytes
-			rs.TailRequests = ps.TailRequests
-			rs.TailRecords = ps.TailRecords
-			rs.FilesShipped = ps.FilesShipped
-			rs.EpochFences = ps.EpochFences
-			return rs
-		}
-		if f := node.Follower(); f != nil {
-			fs := f.Stats()
-			rs.Primary = fs.Primary
-			rs.PrimaryVersion = fs.PrimaryVersion
-			rs.AppliedVersion = fs.AppliedVersion
-			rs.VersionsBehind = fs.VersionsBehind
-			rs.SecondsBehind = fs.SecondsBehind
-			rs.RecordsApplied = fs.RecordsApplied
-			rs.TombstonesApplied = fs.TombstonesApplied
-			rs.Resyncs = fs.Resyncs
-			rs.Reconnects = fs.Reconnects
-			rs.JournalErrors = fs.JournalErrors
-			rs.BytesShipped = fs.BytesShipped
-			rs.EpochAdopts = fs.EpochAdopts
-			rs.EpochResyncs = fs.EpochResyncs
-			rs.EpochRejects = fs.EpochRejects
-			rs.BackoffSeconds = fs.BackoffSeconds
-		}
-		return rs
-	}
 }
 
 // logRequests is a minimal access log; the daemon has no other middleware.

@@ -7,11 +7,13 @@ import (
 	"strings"
 	"testing"
 
-	"ensemfdet"
+	"ensemfdet/internal/bipartite"
+	"ensemfdet/internal/serve"
+	"ensemfdet/internal/stream"
 )
 
-func testEngine(maxNodeID uint32) *ensemfdet.DetectEngine {
-	return ensemfdet.NewDetectEngine(ensemfdet.NewStreamGraph(), ensemfdet.EngineOptions{MaxNodeID: maxNodeID})
+func testEngine(maxNodeID uint32) *serve.Engine {
+	return serve.NewEngine(stream.New(), serve.Options{MaxNodeID: maxNodeID})
 }
 
 func writeTemp(t *testing.T, content string) string {
@@ -46,7 +48,7 @@ func TestLoadEdgesHintOnlyOnIDBoundErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "max-node-id") {
 		t.Fatalf("id-bound error must carry the hint: %v", err)
 	}
-	if !errors.Is(err, ensemfdet.ErrNodeIDRange) {
+	if !errors.Is(err, bipartite.ErrIDRange) {
 		t.Fatalf("id-bound error not tagged: %v", err)
 	}
 }

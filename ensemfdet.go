@@ -9,11 +9,13 @@
 // the per-sample detections into a final fraud set whose size is controlled
 // continuously by a vote threshold T.
 //
-// The package is a facade over the building blocks in internal/: construct
-// a Graph, configure a Detector, call Detect or Votes, and evaluate with
-// the Labels helpers. The cmd/ tools and examples/ directories show complete
-// workflows, and internal/experiments regenerates every table and figure of
-// the paper's evaluation.
+// The package is the batch library: construct a Graph, configure a
+// Detector, and call Detect or Votes (or DetectBlocks for one plain FDET
+// pass). The cmd/ tools and examples/ directories show complete workflows,
+// and internal/experiments regenerates every table and figure of the
+// paper's evaluation. The streaming daemon, cmd/ensemfdetd, wires its
+// serving, durability and replication packages from internal/ itself;
+// none of them is re-exported here.
 //
 //	g, _ := ensemfdet.ReadGraphFile("transactions.tsv")
 //	det := ensemfdet.NewDetector(ensemfdet.Config{})
@@ -22,21 +24,15 @@
 package ensemfdet
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/core"
 	"ensemfdet/internal/density"
 	"ensemfdet/internal/fdet"
-	"ensemfdet/internal/persist"
-	"ensemfdet/internal/replicate"
 	"ensemfdet/internal/sampling"
-	"ensemfdet/internal/serve"
-	"ensemfdet/internal/stream"
 )
 
 // Graph is an immutable bipartite "who buy-from where" purchase graph.
@@ -81,18 +77,6 @@ func ReadGraphFileMax(path string, maxID uint32) (*Graph, error) {
 	}
 	defer f.Close()
 	return bipartite.ReadEdgeListMax(f, maxID)
-}
-
-// ReadEdgesFile parses an edge-list file into a raw edge slice without
-// building a graph, rejecting node ids above maxID — the right shape for
-// feeding a StreamGraph, which dedups and builds snapshots itself.
-func ReadEdgesFile(path string, maxID uint32) ([]Edge, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ensemfdet: %w", err)
-	}
-	defer f.Close()
-	return bipartite.ReadEdgesMax(f, maxID)
 }
 
 // WriteGraph writes g as a text edge list.
@@ -265,241 +249,3 @@ func DetectBlocks(g *Graph, cfg Config) []Block {
 func DensityScore(g *Graph, cfg Config) float64 {
 	return density.Score(g, cfg.metric())
 }
-
-// --- streaming / serving layer ---
-//
-// The batch API above runs one ensemble per call. The streaming layer below
-// is the daemon-shaped alternative: ingest purchase edges incrementally into
-// a StreamGraph, then answer detection queries through a DetectEngine that
-// caches ensemble votes per (graph version, config) — so threshold sweeps,
-// re-queries and rankings against an unchanged graph are cache hits, and new
-// edges invalidate exactly by bumping the version. cmd/ensemfdetd wraps the
-// whole stack in an HTTP daemon.
-
-// MaxNodeID is the largest node id the graph substrate supports; ids are
-// dense uint32 indices and CSR offsets index by id+1.
-const MaxNodeID = bipartite.MaxNodeID
-
-// StreamGraph is a mutable, concurrency-safe dynamic bipartite graph with a
-// monotonic version counter and cached immutable snapshots. Ingest is
-// sharded across user-range partitions for multi-core writers, and
-// snapshots are built incrementally from per-shard deltas; neither affects
-// detection results.
-type StreamGraph = stream.Graph
-
-// NewStreamGraph returns an empty dynamic graph at version 0 with a default
-// shard count near GOMAXPROCS.
-func NewStreamGraph() *StreamGraph { return stream.New() }
-
-// MaxStreamShards is the largest accepted ingest shard count.
-const MaxStreamShards = stream.MaxShards
-
-// NewStreamGraphSharded returns an empty dynamic graph with the given ingest
-// shard count, rounded up to a power of two and clamped to
-// [1, MaxStreamShards]; 0 selects the default. Shard count trades write
-// concurrency against per-batch scan overhead and is invisible to readers:
-// snapshots — and therefore votes — are byte-identical across shard counts.
-func NewStreamGraphSharded(shards int) *StreamGraph { return stream.NewSharded(shards) }
-
-// WindowPolicy bounds a StreamGraph's live edge set for unbounded streams:
-// by wall-clock age, by version age, by live edge count, or any combination.
-// Install with StreamGraph.SetWindow; apply with StreamGraph.Retire (the
-// daemon runs a periodic retire ticker via -retire-every). Expired edges
-// leave the dedup set, so a re-observed purchase re-ingests with fresh
-// recency.
-type WindowPolicy = stream.WindowPolicy
-
-// WindowMark is the expiry watermark: no live edge carries an ingest stamp
-// at or below it. Durable snapshots persist the mark so recovery restores
-// expiry progress along with the edges.
-type WindowMark = stream.WindowMark
-
-// WindowStats reports window policy, watermark, and retire counters.
-type WindowStats = stream.WindowStats
-
-// RetireResult summarizes one retire pass or explicit StreamGraph.Remove.
-type RetireResult = stream.RetireResult
-
-// DetectEngine serves detection queries over a StreamGraph from a vote
-// cache, single-flighting concurrent identical requests.
-type DetectEngine = serve.Engine
-
-// DetectParams selects one ensemble configuration for the engine; the zero
-// value is the paper's main setting (RES, N = 80, S = 0.1).
-type DetectParams = serve.Params
-
-// EngineOptions bounds the engine's concurrency and cache size.
-type EngineOptions = serve.Options
-
-// EngineStats reports graph size, version and cache counters.
-type EngineStats = serve.Stats
-
-// NewDetectEngine returns an engine serving detections over src.
-func NewDetectEngine(src *StreamGraph, opts EngineOptions) *DetectEngine {
-	return serve.NewEngine(src, opts)
-}
-
-// NewHTTPHandler returns the ensemfdetd HTTP API (POST /v1/edges,
-// POST /v1/detect, GET /v1/votes, GET /v1/stats, GET /healthz) over e.
-func NewHTTPHandler(e *DetectEngine) http.Handler { return serve.NewHandler(e) }
-
-// HTTPHandlerConfig shapes the HTTP surface by role: read-only mode with a
-// primary pointer (the follower's write guard), a mounted replication
-// handler, a /readyz gate, and a build version for /metrics.
-type HTTPHandlerConfig = serve.HandlerConfig
-
-// NewHTTPHandlerWith returns the ensemfdetd HTTP API over e shaped by cfg.
-func NewHTTPHandlerWith(e *DetectEngine, cfg HTTPHandlerConfig) http.Handler {
-	return serve.NewHandlerWith(e, cfg)
-}
-
-// ReplStats is the replication section of EngineStats (/v1/stats "repl"),
-// populated via DetectEngine.AttachRepl.
-type ReplStats = serve.ReplStats
-
-// --- durability layer ---
-
-// ErrNodeIDRange tags errors caused by a node id above a configured bound —
-// distinct from parse or I/O failures, so callers know raising the bound
-// (not fixing the file) is the remedy. ReadEdgesFile, ReadGraphFileMax, and
-// DetectEngine.Ingest all wrap it.
-var ErrNodeIDRange = bipartite.ErrIDRange
-
-// PersistStore is the daemon's durability engine: a segmented, checksummed
-// write-ahead log of ingested edge batches plus binary CSR snapshots, with
-// boot-time recovery. Wire it as a StreamGraph's journal (SetJournal) and
-// snapshot source (SetSource); see cmd/ensemfdetd for the full lifecycle.
-type PersistStore = persist.Store
-
-// PersistOptions configures the store; the zero value fsyncs every batch
-// and snapshots every 16MB of WAL growth.
-type PersistOptions = persist.Options
-
-// PersistStats reports WAL and snapshot counters.
-type PersistStats = persist.Stats
-
-// RecoveryStats summarizes one boot-time recovery.
-type RecoveryStats = persist.RecoveryStats
-
-// FsyncPolicy selects when the WAL is flushed to stable storage.
-type FsyncPolicy = persist.FsyncPolicy
-
-// The WAL flush policies: FsyncAlways acknowledges a batch only after it is
-// on disk; FsyncNever trades that guarantee for page-cache-speed ingest.
-const (
-	FsyncAlways = persist.FsyncAlways
-	FsyncNever  = persist.FsyncNever
-)
-
-// ParseFsyncPolicy maps "always"/"never" (the -fsync flag values) to a
-// policy.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return persist.ParseFsyncPolicy(s) }
-
-// OpenPersist opens (creating if needed) the durability state under dir,
-// truncating a torn WAL tail from a previous crash with a logged warning.
-// Call Recover on the result to load the state into a StreamGraph.
-func OpenPersist(dir string, opts PersistOptions) (*PersistStore, error) {
-	return persist.Open(dir, opts)
-}
-
-// --- replication layer ---
-//
-// WAL-shipping replication turns one durable daemon into a primary that any
-// number of read-only followers track: the primary serves its snapshot +
-// WAL over HTTP (GET /v1/repl/..., behind -serve-replication), a follower
-// bootstraps from them and then tails the log continuously, applying each
-// record at its exact version so its graph — and therefore its votes — are
-// byte-identical to the primary's at every version. See cmd/ensemfdetd's
-// -follow flag for the daemon wiring.
-
-// ReplPrimary serves the replication shipping endpoints over a PersistStore.
-type ReplPrimary = replicate.Primary
-
-// ReplPrimaryConfig configures the shipping side.
-type ReplPrimaryConfig = replicate.PrimaryConfig
-
-// ReplPrimaryStats reports shipping counters.
-type ReplPrimaryStats = replicate.PrimaryStats
-
-// NewReplPrimary returns the shipping half; mount its Handler via
-// HTTPHandlerConfig.Repl.
-func NewReplPrimary(cfg ReplPrimaryConfig) *ReplPrimary { return replicate.NewPrimary(cfg) }
-
-// ReplFollower replicates a primary's state into a local StreamGraph.
-type ReplFollower = replicate.Follower
-
-// ReplFollowerConfig configures the tailing side.
-type ReplFollowerConfig = replicate.FollowerConfig
-
-// ReplFollowerStats reports lag and apply counters.
-type ReplFollowerStats = replicate.FollowerStats
-
-// NewReplFollower validates the primary URL and returns a follower ready to
-// Bootstrap and Run.
-func NewReplFollower(cfg ReplFollowerConfig) (*ReplFollower, error) {
-	return replicate.NewFollower(cfg)
-}
-
-// ReplNeedsBootstrap reports whether a follower data directory needs a fresh
-// download (no recoverable state, or an interrupted earlier bootstrap).
-func ReplNeedsBootstrap(dir string) bool { return replicate.NeedsBootstrap(dir) }
-
-// ReplDownloadInto ships the primary's snapshot and WAL segments into
-// dataDir so a normal OpenPersist + Recover reproduces the primary's durable
-// state. client and logf may be nil.
-func ReplDownloadInto(ctx context.Context, client *http.Client, primary, dataDir string, logf func(string, ...any)) error {
-	return replicate.DownloadInto(ctx, client, primary, dataDir, logf)
-}
-
-// --- failover layer ---
-//
-// Epoch-fenced failover promotes a follower to primary without a
-// coordinator: every durable node carries a monotonic epoch (term) number in
-// a fsynced fence file, in its snapshot headers, and as fence records in the
-// WAL. POST /v1/admin/promote on a follower stops its tail, fsyncs the next
-// epoch with write ownership, and starts serving ingest and replication;
-// every replication exchange carries the epoch both ways, so a deposed
-// primary observing a higher term durably drops write ownership (ingest
-// answers 409 naming the ruling epoch) and followers of the old timeline
-// converge onto the new one through an epoch-boundary resync. See the
-// README's Failover section for the runbook.
-
-// ReplNode is the failover role manager: a daemon node that starts as a
-// follower, can be promoted to primary at runtime, and can be re-pointed at
-// a different primary. Mount its ReplHandler and AdminHandler via
-// HTTPHandlerConfig.
-type ReplNode = replicate.Node
-
-// ReplNodeConfig wires a ReplNode's store, graph, and tuning.
-type ReplNodeConfig = replicate.NodeConfig
-
-// NewReplNode validates the wiring and returns a node with no role yet; call
-// Follow (or Promote/BecomePrimary) to give it one.
-func NewReplNode(cfg ReplNodeConfig) (*ReplNode, error) { return replicate.NewNode(cfg) }
-
-// EpochAction is the follower-side classification of a replication response
-// whose epoch differs from the local one; ClassifyEpoch computes it.
-type EpochAction = replicate.EpochAction
-
-// The possible classifications; see replicate.ClassifyEpoch.
-const (
-	EpochOK     = replicate.EpochOK
-	EpochStale  = replicate.EpochStale
-	EpochAdopt  = replicate.EpochAdopt
-	EpochResync = replicate.EpochResync
-)
-
-// ClassifyEpoch decides what a follower must do with a response from a node
-// in a different failover term.
-func ClassifyEpoch(localEpoch, respEpoch, localVersion, epochStart uint64) EpochAction {
-	return replicate.ClassifyEpoch(localEpoch, respEpoch, localVersion, epochStart)
-}
-
-// ErrWALDegraded tags ingest failures caused by a WAL that is rejecting
-// writes until a covering snapshot heals it — the HTTP layer maps it to 503
-// with Retry-After. ErrFenced tags writes rejected because the store's epoch
-// is owned by another primary (this node was deposed) — mapped to 409.
-var (
-	ErrWALDegraded = persist.ErrDegraded
-	ErrFenced      = persist.ErrFenced
-)

@@ -324,6 +324,36 @@ func TestDeposedPrimaryFailStopsOnHigherEpoch(t *testing.T) {
 	}
 }
 
+// TestDeposedPromotedNodeReportsFenced is the stats half of deposition for a
+// node that won its primary role by promotion: once a higher term reaches it,
+// its stats must say fenced — the same as a primary started as one.
+func TestDeposedPromotedNodeReportsFenced(t *testing.T) {
+	n := newTestNode(t, t.TempDir(), "", NodeConfig{})
+	if _, err := n.n.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := n.n.Stats(); rs.Role != "primary" || rs.Fenced || rs.Epoch != 1 || rs.Promotions != 1 || !rs.Ready {
+		t.Fatalf("promoted node stats: %+v, want an owned primary at epoch 1", rs)
+	}
+	req, err := http.NewRequest(http.MethodGet, n.srv.URL+"/v1/repl/manifest", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(hdrEpoch, "9")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if e, _, owned := n.st.Epoch(); e != 9 || owned {
+		t.Fatalf("fence after deposition: epoch=%d owned=%v, want 9/false", e, owned)
+	}
+	rs := n.n.Stats()
+	if rs.Role != "primary" || !rs.Fenced || rs.Epoch != 9 || rs.EpochFences != 1 || rs.Promotions != 1 {
+		t.Fatalf("deposed promoted node stats: %+v, want a fenced primary at epoch 9", rs)
+	}
+}
+
 // TestFollowerRefusesStaleEpoch pins the stale half of the handshake: a
 // follower that has adopted a newer term refuses everything an old-term node
 // ships, no matter what records ride in the response.

@@ -46,6 +46,8 @@ type FollowerConfig struct {
 	// the computed backoff when longer.
 	RetryMin time.Duration
 	RetryMax time.Duration
+	// MaxLag is the readiness lag bound in versions (see Ready).
+	MaxLag uint64
 	// FlushCache, when non-nil, runs after an epoch-boundary resync — the
 	// one path that can move the graph version backwards, which invalidates
 	// anything cached under version keys (the serving engine's vote cache).
@@ -705,10 +707,10 @@ func (f *Follower) Lag() (versionsBehind uint64, secondsBehind float64, known bo
 }
 
 // Ready implements the /readyz contract: a follower is ready once it has
-// bootstrapped, heard from the primary, and its lag is within maxLag
-// versions — so load balancers never route detection traffic to a replica
-// still cold or far behind.
-func (f *Follower) Ready(maxLag uint64) (bool, string) {
+// bootstrapped, heard from the primary, and its lag is within
+// FollowerConfig.MaxLag versions — so load balancers never route detection
+// traffic to a replica still cold or far behind.
+func (f *Follower) Ready() (bool, string) {
 	if !f.bootstrapped.Load() {
 		return false, "bootstrap in progress"
 	}
@@ -716,61 +718,10 @@ func (f *Follower) Ready(maxLag uint64) (bool, string) {
 	if !known {
 		return false, "no contact with primary yet"
 	}
-	if behind > maxLag {
-		return false, fmt.Sprintf("replication lag %d versions exceeds %d", behind, maxLag)
+	if behind > f.cfg.MaxLag {
+		return false, fmt.Sprintf("replication lag %d versions exceeds %d", behind, f.cfg.MaxLag)
 	}
 	return true, ""
-}
-
-// FollowerStats is the follower-side replication summary for /v1/stats and
-// the ensemfdetd_repl_* metrics.
-type FollowerStats struct {
-	Primary           string  `json:"primary"`
-	PrimaryVersion    uint64  `json:"primary_version"`
-	AppliedVersion    uint64  `json:"applied_version"`
-	VersionsBehind    uint64  `json:"versions_behind"`
-	SecondsBehind     float64 `json:"seconds_behind"`
-	Bootstrapped      bool    `json:"bootstrapped"`
-	Epoch             uint64  `json:"epoch"`
-	BytesShipped      uint64  `json:"bytes_shipped"`
-	RecordsApplied    uint64  `json:"records_applied"`
-	TombstonesApplied uint64  `json:"tombstones_applied"`
-	Resyncs           uint64  `json:"resyncs"`
-	Reconnects        uint64  `json:"reconnects"`
-	JournalErrors     uint64  `json:"journal_errors"`
-	// EpochAdopts counts higher terms adopted in place; EpochResyncs counts
-	// boundary resyncs off an abandoned timeline; EpochRejects counts
-	// responses refused because the sender's term was below ours.
-	EpochAdopts  uint64 `json:"epoch_adopts"`
-	EpochResyncs uint64 `json:"epoch_resyncs"`
-	EpochRejects uint64 `json:"epoch_rejects"`
-	// BackoffSeconds is cumulative time spent sleeping between retries —
-	// the ensemfdetd_repl_backoff_seconds metric.
-	BackoffSeconds float64 `json:"backoff_seconds"`
-}
-
-// Stats returns current replication counters.
-func (f *Follower) Stats() FollowerStats {
-	behind, seconds, _ := f.Lag()
-	return FollowerStats{
-		Primary:           f.base,
-		PrimaryVersion:    f.primaryVersion.Load(),
-		AppliedVersion:    f.cfg.Graph.Version(),
-		VersionsBehind:    behind,
-		SecondsBehind:     seconds,
-		Bootstrapped:      f.bootstrapped.Load(),
-		Epoch:             f.epoch(),
-		BytesShipped:      f.bytesShipped.Load(),
-		RecordsApplied:    f.recordsApplied.Load(),
-		TombstonesApplied: f.tombstonesApplied.Load(),
-		Resyncs:           f.resyncs.Load(),
-		Reconnects:        f.reconnects.Load(),
-		JournalErrors:     f.journalErrs.Load(),
-		EpochAdopts:       f.epochAdopts.Load(),
-		EpochResyncs:      f.epochResyncs.Load(),
-		EpochRejects:      f.epochRejects.Load(),
-		BackoffSeconds:    time.Duration(f.backoffNanos.Load()).Seconds(),
-	}
 }
 
 // sleepCtx sleeps for d or until ctx is done, reporting whether it slept

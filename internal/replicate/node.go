@@ -124,6 +124,7 @@ func (n *Node) Follow(ctx context.Context, primaryURL string) error {
 		WaitMS:     n.cfg.WaitMS,
 		RetryMin:   n.cfg.RetryMin,
 		RetryMax:   n.cfg.RetryMax,
+		MaxLag:     n.cfg.MaxLag,
 		FlushCache: n.cfg.FlushCache,
 		Logf:       n.cfg.Logf,
 	})
@@ -284,7 +285,7 @@ func (n *Node) Ready() (bool, string) {
 		return true, ""
 	}
 	if f := n.follower.Load(); f != nil {
-		return f.Ready(n.cfg.MaxLag)
+		return f.Ready()
 	}
 	return false, "not following any primary"
 }

@@ -111,12 +111,10 @@ type Primary struct {
 	cfg  PrimaryConfig
 	logf func(string, ...any)
 
-	manifests    atomic.Uint64
 	tailRequests atomic.Uint64
 	tailRecords  atomic.Uint64
-	tailBytes    atomic.Uint64
 	filesShipped atomic.Uint64
-	fileBytes    atomic.Uint64
+	bytesShipped atomic.Uint64 // tail payloads and shipped files
 	epochFences  atomic.Uint64
 }
 
@@ -191,7 +189,6 @@ func (p *Primary) handleManifest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	p.manifests.Add(1)
 	w.Header().Set(hdrPrimaryVersion, strconv.FormatUint(p.cfg.Version(), 10))
 	w.Header().Set(hdrEpoch, strconv.FormatUint(m.Epoch, 10))
 	writeJSON(w, http.StatusOK, Manifest{Version: p.cfg.Version(), Manifest: m})
@@ -220,7 +217,7 @@ func (p *Primary) handleFile(w http.ResponseWriter, r *http.Request, open func(s
 		p.logf("replicate: shipping %s: %v", r.URL.Path, err)
 	}
 	p.filesShipped.Add(1)
-	p.fileBytes.Add(uint64(n))
+	p.bytesShipped.Add(uint64(n))
 }
 
 // handleTail long-polls for records past ?from=V: it answers immediately
@@ -263,7 +260,7 @@ func (p *Primary) handleTail(w http.ResponseWriter, r *http.Request) {
 			return
 		case n > 0:
 			p.tailRecords.Add(uint64(n))
-			p.tailBytes.Add(uint64(len(payload)))
+			p.bytesShipped.Add(uint64(len(payload)))
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set(hdrLastVersion, strconv.FormatUint(last, 10))
 			w.Header().Set(hdrPrimaryVersion, strconv.FormatUint(p.cfg.Version(), 10))
@@ -289,33 +286,6 @@ func (p *Primary) handleTail(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-time.After(poll):
 		}
-	}
-}
-
-// PrimaryStats is the primary-side replication summary for /v1/stats and
-// the ensemfdetd_repl_* metrics.
-type PrimaryStats struct {
-	Manifests    uint64 `json:"manifests"`
-	TailRequests uint64 `json:"tail_requests"`
-	TailRecords  uint64 `json:"tail_records"`
-	TailBytes    uint64 `json:"tail_bytes"`
-	FilesShipped uint64 `json:"files_shipped"`
-	FileBytes    uint64 `json:"file_bytes"`
-	// EpochFences counts requests that advertised a higher epoch than ours —
-	// each one is an observation that this node was deposed.
-	EpochFences uint64 `json:"epoch_fences"`
-}
-
-// Stats returns current shipping counters.
-func (p *Primary) Stats() PrimaryStats {
-	return PrimaryStats{
-		Manifests:    p.manifests.Load(),
-		TailRequests: p.tailRequests.Load(),
-		TailRecords:  p.tailRecords.Load(),
-		TailBytes:    p.tailBytes.Load(),
-		FilesShipped: p.filesShipped.Load(),
-		FileBytes:    p.fileBytes.Load(),
-		EpochFences:  p.epochFences.Load(),
 	}
 }
 

@@ -142,7 +142,7 @@ func TestMemoryFollowerBootstrapAndTail(t *testing.T) {
 		tp.append(t, b...)
 	}
 
-	f, err := NewFollower(FollowerConfig{Primary: tp.srv.URL, Graph: stream.New(), WaitMS: 10, Logf: t.Logf})
+	f, err := NewFollower(FollowerConfig{Primary: tp.srv.URL, Graph: stream.New(), WaitMS: 10, MaxLag: 8, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +163,10 @@ func TestMemoryFollowerBootstrapAndTail(t *testing.T) {
 	assertIdentical(t, tp.g, f.cfg.Graph)
 
 	st := f.Stats()
-	if st.RecordsApplied == 0 || st.BytesShipped == 0 || !st.Bootstrapped {
+	if st.RecordsApplied == 0 || st.BytesShipped == 0 || !st.Ready || st.Role != "follower" {
 		t.Fatalf("stats did not track the session: %+v", st)
 	}
-	if ready, reason := f.Ready(8); !ready {
+	if ready, reason := f.Ready(); !ready {
 		t.Fatalf("caught-up follower not ready: %s", reason)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"ensemfdet/internal/bipartite"
 	"ensemfdet/internal/core"
 	"ensemfdet/internal/persist"
+	"ensemfdet/internal/replicate"
 	"ensemfdet/internal/sampling"
 	"ensemfdet/internal/stream"
 )
@@ -312,8 +313,8 @@ type Engine struct {
 	persist *persist.Store
 
 	// repl, when attached, reports replication state for Stats and /metrics
-	// (primary shipping counters or follower lag, mapped by the daemon).
-	repl func() *ReplStats
+	// (primary shipping counters or follower lag, filled by the live role).
+	repl func() *replicate.ReplStats
 }
 
 // NewEngine returns an Engine serving detections over src.
@@ -796,47 +797,7 @@ type Stats struct {
 	Persist *persist.Stats `json:"persist,omitempty"`
 	// Repl reports replication state when this daemon ships to or follows
 	// another; nil for a standalone daemon.
-	Repl *ReplStats `json:"repl,omitempty"`
-}
-
-// ReplStats is the transport-neutral replication summary for /v1/stats and
-// /metrics; cmd/ensemfdetd maps the replicate package's counters into it so
-// serve stays free of a replicate import. Primary-side fields are zero on a
-// follower and vice versa.
-type ReplStats struct {
-	// Role is "primary", "follower", or "promoting" (mid-failover).
-	Role string `json:"role"`
-	// Epoch is the failover term this node has adopted; Fenced reports a
-	// deposed primary — it observed a higher term and rejects local writes.
-	Epoch  uint64 `json:"epoch"`
-	Fenced bool   `json:"fenced,omitempty"`
-	// Promotions counts this process's successful follower→primary
-	// transitions.
-	Promotions uint64 `json:"promotions,omitempty"`
-	// Follower side.
-	Primary           string  `json:"primary,omitempty"`
-	PrimaryVersion    uint64  `json:"primary_version,omitempty"`
-	AppliedVersion    uint64  `json:"applied_version,omitempty"`
-	VersionsBehind    uint64  `json:"versions_behind"`
-	SecondsBehind     float64 `json:"seconds_behind"`
-	RecordsApplied    uint64  `json:"records_applied,omitempty"`
-	TombstonesApplied uint64  `json:"tombstones_applied,omitempty"`
-	Resyncs           uint64  `json:"resyncs,omitempty"`
-	Reconnects        uint64  `json:"reconnects,omitempty"`
-	JournalErrors     uint64  `json:"journal_errors,omitempty"`
-	EpochAdopts       uint64  `json:"epoch_adopts,omitempty"`
-	EpochResyncs      uint64  `json:"epoch_resyncs,omitempty"`
-	EpochRejects      uint64  `json:"epoch_rejects,omitempty"`
-	BackoffSeconds    float64 `json:"backoff_seconds,omitempty"`
-	Ready             bool    `json:"ready"`
-	// Both sides: bytes shipped over the replication channel (sent for a
-	// primary, received for a follower).
-	BytesShipped uint64 `json:"bytes_shipped"`
-	// Primary side.
-	TailRequests uint64 `json:"tail_requests,omitempty"`
-	TailRecords  uint64 `json:"tail_records,omitempty"`
-	FilesShipped uint64 `json:"files_shipped,omitempty"`
-	EpochFences  uint64 `json:"epoch_fences,omitempty"`
+	Repl *replicate.ReplStats `json:"repl,omitempty"`
 }
 
 // IngestStats counts what passed through Ingest (the daemon's chokepoint).
@@ -898,7 +859,7 @@ func (e *Engine) Stats() Stats {
 // AttachRepl registers a replication stats source (primary shipping counters
 // or follower lag), surfaced in Stats and /metrics. Attach before serving
 // traffic.
-func (e *Engine) AttachRepl(fn func() *ReplStats) { e.repl = fn }
+func (e *Engine) AttachRepl(fn func() *replicate.ReplStats) { e.repl = fn }
 
 // AttachPersist registers the durability store backing this engine's graph,
 // surfacing its counters in Stats and /metrics and handing its lifetime to

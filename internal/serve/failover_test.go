@@ -89,7 +89,7 @@ func TestIngestFencedStoreIs409(t *testing.T) {
 }
 
 // failoverNode wires a real durable replication node into the serving stack
-// exactly as cmd/ensemfdetd does — ReadOnlyFn, Ready, and Admin all tracking
+// exactly as cmd/ensemfdetd does — ReadOnly, Ready, and Admin all tracking
 // the live role.
 func failoverNode(t *testing.T, inject func(string) error) (*replicate.Node, *httptest.Server) {
 	t.Helper()
@@ -108,9 +108,9 @@ func failoverNode(t *testing.T, inject func(string) error) (*replicate.Node, *ht
 	}
 	engine := NewEngine(g, Options{})
 	h := NewHandlerWith(engine, HandlerConfig{
-		ReadOnlyFn: func() bool { return node.Role() != "primary" },
-		Ready:      node.Ready,
-		Admin:      node.AdminHandler(),
+		ReadOnly: func() bool { return node.Role() != "primary" },
+		Ready:    node.Ready,
+		Admin:    node.AdminHandler(),
 	})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() { srv.Close(); node.Close(); st.Close() })

@@ -38,21 +38,18 @@ func NewHandler(e *Engine) http.Handler {
 // HandlerConfig selects the role-dependent parts of the HTTP surface. The
 // zero value is the classic standalone primary.
 type HandlerConfig struct {
-	// ReadOnly rejects every mutating route with 403 — the follower's write
-	// guard. Reads and POST /v1/detect (a read that happens to take a body)
-	// stay open.
-	ReadOnly bool
-	// ReadOnlyFn, when non-nil, re-evaluates the write guard per request —
-	// the failover role manager flips it false at promotion without
-	// rebuilding the handler. It overrides ReadOnly.
-	ReadOnlyFn func() bool
-	// PrimaryURL, on a read-only daemon, names the primary in rejection
-	// bodies so a misdirected writer knows where to go. PrimaryURLFn, when
-	// non-nil, overrides it per request (runtime re-pointing moves it).
-	PrimaryURL   string
-	PrimaryURLFn func() string
+	// ReadOnly, when non-nil, is the follower's write guard: while it
+	// reports true every mutating route is rejected with 403. Reads and
+	// POST /v1/detect (a read that happens to take a body) stay open. It is
+	// evaluated per request, so the failover role manager flips it at
+	// promotion without rebuilding the handler.
+	ReadOnly func() bool
+	// PrimaryURL, when non-nil, names the primary in rejection bodies so a
+	// misdirected writer knows where to go; evaluated per request, since
+	// runtime re-pointing moves it.
+	PrimaryURL func() string
 	// Repl, when non-nil, is mounted under GET /v1/repl/ (the replication
-	// shipping endpoints, an http.Handler so serve never imports replicate).
+	// shipping endpoints).
 	Repl http.Handler
 	// Admin, when non-nil, is mounted under POST /v1/admin/ (the failover
 	// control surface: promote, follow). Admin routes are exempt from the
@@ -66,18 +63,11 @@ type HandlerConfig struct {
 	Version string
 }
 
-func (cfg HandlerConfig) readOnly() bool {
-	if cfg.ReadOnlyFn != nil {
-		return cfg.ReadOnlyFn()
-	}
-	return cfg.ReadOnly
-}
-
 func (cfg HandlerConfig) primaryURL() string {
-	if cfg.PrimaryURLFn != nil {
-		return cfg.PrimaryURLFn()
+	if cfg.PrimaryURL == nil {
+		return ""
 	}
-	return cfg.PrimaryURL
+	return cfg.PrimaryURL()
 }
 
 // NewHandlerWith returns the routing handler over e shaped by cfg.
@@ -110,7 +100,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 	if cfg.Admin != nil {
 		mux.Handle("POST /v1/admin/", cfg.Admin)
 	}
-	if cfg.ReadOnly || cfg.ReadOnlyFn != nil {
+	if cfg.ReadOnly != nil {
 		return readOnlyGuard(mux, cfg)
 	}
 	return mux
@@ -125,7 +115,7 @@ func NewHandlerWith(e *Engine, cfg HandlerConfig) http.Handler {
 // so a misdirected writer can redirect itself.
 func readOnlyGuard(next http.Handler, cfg HandlerConfig) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if cfg.readOnly() {
+		if cfg.ReadOnly() {
 			switch r.Method {
 			case http.MethodGet, http.MethodHead, http.MethodOptions:
 			case http.MethodPost:

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ensemfdet/internal/replicate"
 	"ensemfdet/internal/stream"
 )
 
@@ -16,13 +17,13 @@ import (
 func replicaDaemon(t *testing.T, ready *bool, reason *string) *httptest.Server {
 	t.Helper()
 	e := NewEngine(stream.New(), Options{})
-	e.AttachRepl(func() *ReplStats {
-		return &ReplStats{Role: "follower", Primary: "http://primary:8080", VersionsBehind: 3,
+	e.AttachRepl(func() *replicate.ReplStats {
+		return &replicate.ReplStats{Role: "follower", Primary: "http://primary:8080", VersionsBehind: 3,
 			SecondsBehind: 1.5, RecordsApplied: 42, BytesShipped: 4096, Ready: *ready}
 	})
 	srv := httptest.NewServer(NewHandlerWith(e, HandlerConfig{
-		ReadOnly:   true,
-		PrimaryURL: "http://primary:8080",
+		ReadOnly:   func() bool { return true },
+		PrimaryURL: func() string { return "http://primary:8080" },
 		Ready:      func() (bool, string) { return *ready, *reason },
 		Version:    "test-1.2.3",
 	}))
@@ -126,7 +127,7 @@ func TestReplStatsAndMetrics(t *testing.T) {
 	srv := replicaDaemon(t, &ready, &reason)
 
 	var stats struct {
-		Repl *ReplStats `json:"repl"`
+		Repl *replicate.ReplStats `json:"repl"`
 	}
 	if status := getJSON(t, srv.URL+"/v1/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats status %d", status)
@@ -165,7 +166,7 @@ func TestReplStatsAndMetrics(t *testing.T) {
 	plain := httptest.NewServer(NewHandler(NewEngine(stream.New(), Options{})))
 	defer plain.Close()
 	var plainStats struct {
-		Repl *ReplStats `json:"repl"`
+		Repl *replicate.ReplStats `json:"repl"`
 	}
 	getJSON(t, plain.URL+"/v1/stats", &plainStats)
 	if plainStats.Repl != nil {
@@ -174,8 +175,8 @@ func TestReplStatsAndMetrics(t *testing.T) {
 
 	// And a primary role renders the shipping counters.
 	pe := NewEngine(stream.New(), Options{})
-	pe.AttachRepl(func() *ReplStats {
-		return &ReplStats{Role: "primary", Ready: true, BytesShipped: 123, TailRequests: 7, TailRecords: 5, FilesShipped: 2}
+	pe.AttachRepl(func() *replicate.ReplStats {
+		return &replicate.ReplStats{Role: "primary", Ready: true, BytesShipped: 123, TailRequests: 7, TailRecords: 5, FilesShipped: 2}
 	})
 	psrv := httptest.NewServer(NewHandlerWith(pe, HandlerConfig{}))
 	defer psrv.Close()
